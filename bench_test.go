@@ -38,7 +38,7 @@ func stepBench(b *testing.B, cfg crossbar.Config, load float64) *crossbar.Switch
 	if err != nil {
 		b.Fatal(err)
 	}
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(sw.N())
 	arrivals := make([]*packet.Cell, sw.N())
 	cycle := sw.Metrics().CycleTime
 	// Warm up out of the timed region.
@@ -122,7 +122,7 @@ func benchFabric(b *testing.B, fcfg fabric.Config, tcfg traffic.Config, report f
 	if err != nil {
 		b.Fatal(err)
 	}
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(tcfg.N)
 	cycle := f.Metrics().CycleTime
 	step := func() {
 		slot := f.Slot()
@@ -315,7 +315,7 @@ func BenchmarkSec6DBvN(b *testing.B) {
 	var total, count float64
 	bvn.Sink = func(_ *packet.Cell, lat uint64) { total += float64(lat); count++ }
 	rng := sim.NewRNG(1)
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(n)
 	arrivals := make([]*packet.Cell, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -502,7 +502,7 @@ func BenchmarkContainerSwitchStep(b *testing.B) {
 	var total, count float64
 	cs.Sink = func(_ *packet.Cell, lat uint64) { total += float64(lat); count++ }
 	rng := sim.NewRNG(1)
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(n)
 	arrivals := make([]*packet.Cell, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -17,12 +17,12 @@
 //	...
 //	checksum <16 hex digits>
 //
-// Sections nest. Every record line is a key followed by space-separated
-// typed tokens: unsigned and signed integers in decimal, booleans as 0/1,
-// float64 in Go hexadecimal-float notation ('x' format, exact), strings
-// Go-quoted. The trailing checksum line carries the FNV-1a 64-bit hash of
-// every byte that precedes it; Decoder.Close verifies it and rejects
-// trailing garbage.
+// Sections nest. Every record line is a key followed by typed tokens,
+// each preceded by exactly one space: unsigned and signed integers in
+// decimal, booleans as 0/1, float64 in Go hexadecimal-float notation
+// ('x' format, exact), strings Go-quoted. The trailing checksum line
+// carries the FNV-1a 64-bit hash of every byte that precedes it;
+// Decoder.Close verifies it and rejects trailing garbage.
 //
 // Both Encoder and Decoder latch their first error: after a failure every
 // later call is a no-op (Encoder) or returns the same error (Decoder), so
@@ -32,11 +32,13 @@ package ckpt
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Version is the checkpoint format version this package reads and writes.
@@ -48,46 +50,85 @@ const magic = "osmosis-ckpt"
 // header is the exact first line of a version-1 checkpoint.
 const header = magic + " v1"
 
+// FNV-1a 64-bit parameters. Both ends fold the checksum inline over the
+// bytes they write or read, so no line is copied just to be hashed.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fold returns the FNV-1a state h advanced over the bytes of s.
+func fold[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
 // Encoder writes a checkpoint stream. Errors latch: after the first
 // write failure all later calls are no-ops and Close reports the error.
 type Encoder struct {
 	w        *bufio.Writer
-	hash     func(s string) // folds every written byte into the checksum
-	sum      interface{ Sum64() uint64 }
+	sum      uint64 // FNV-1a state over every byte written so far
 	sections []string
-	err      error
+	// open is the key of the record Line started and Line.Done has not
+	// finished yet; "" between records.
+	open string
+	num  [32]byte // scratch for formatting one numeric field
+	err  error
 }
 
 // NewEncoder starts a version-1 checkpoint on w and writes the header.
 func NewEncoder(w io.Writer) *Encoder {
-	h := fnv.New64a()
-	e := &Encoder{w: bufio.NewWriter(w), sum: h}
-	e.hash = func(s string) {
-		// FNV-1a over a string never fails; hash.Hash documents Write as
-		// error-free.
-		_, _ = io.WriteString(h, s)
-	}
-	e.line(header)
+	e := &Encoder{w: bufio.NewWriter(w), sum: fnvOffset}
+	e.write(header)
+	e.endLine()
 	return e
 }
 
-// line writes one raw line and folds it into the checksum.
-func (e *Encoder) line(s string) {
-	if e.err != nil {
-		return
-	}
-	e.hash(s)
-	e.hash("\n")
-	if _, err := e.w.WriteString(s); err != nil {
+// write folds s into the checksum and buffers it. A write error sticks
+// in the bufio.Writer; endLine latches it.
+func (e *Encoder) write(s string) {
+	e.sum = fold(e.sum, s)
+	_, _ = e.w.WriteString(s)
+}
+
+// field writes one separator and one field token.
+func (e *Encoder) field(b []byte) {
+	e.sum = fold((e.sum^' ')*fnvPrime, b)
+	_ = e.w.WriteByte(' ')
+	_, _ = e.w.Write(b)
+}
+
+// endLine terminates the current line and latches any write error.
+func (e *Encoder) endLine() {
+	e.sum = (e.sum ^ '\n') * fnvPrime
+	if err := e.w.WriteByte('\n'); err != nil {
 		e.err = err
-		return
 	}
-	e.err = e.w.WriteByte('\n')
+}
+
+// ready reports whether a new line may start: no latched error and no
+// record left open by Line.
+func (e *Encoder) ready() bool {
+	if e.err == nil && e.open != "" {
+		e.err = fmt.Errorf("ckpt: record %q started by Line was never finished with Done", e.open)
+	}
+	return e.err == nil
+}
+
+// tag writes a "begin <section>" or "end <section>" line.
+func (e *Encoder) tag(word, section string) {
+	e.write(word)
+	e.write(" ")
+	e.write(section)
+	e.endLine()
 }
 
 // Begin opens a section. Sections must be closed in LIFO order by End.
 func (e *Encoder) Begin(section string) {
-	if e.err != nil {
+	if !e.ready() {
 		return
 	}
 	if !validName(section) {
@@ -95,12 +136,12 @@ func (e *Encoder) Begin(section string) {
 		return
 	}
 	e.sections = append(e.sections, section)
-	e.line("begin " + section)
+	e.tag("begin", section)
 }
 
 // End closes the innermost open section, which must be named section.
 func (e *Encoder) End(section string) {
-	if e.err != nil {
+	if !e.ready() {
 		return
 	}
 	if len(e.sections) == 0 || e.sections[len(e.sections)-1] != section {
@@ -108,36 +149,88 @@ func (e *Encoder) End(section string) {
 		return
 	}
 	e.sections = e.sections[:len(e.sections)-1]
-	e.line("end " + section)
+	e.tag("end", section)
 }
 
-// Put writes one record: a key and its typed field tokens (render them
-// with Uint, Int, Float, Bool, or Quote).
-func (e *Encoder) Put(key string, fields ...string) {
-	if e.err != nil {
-		return
-	}
-	if !validName(key) {
-		e.err = fmt.Errorf("ckpt: invalid record key %q", key)
-		return
-	}
-	for _, f := range fields {
-		if f == "" || strings.ContainsAny(f, " \t\r\n") {
-			e.err = fmt.Errorf("ckpt: record %q field %q contains separator bytes", key, f)
-			return
+// Line starts a record. Append the fields with the typed methods and
+// finish the record with Done:
+//
+//	e.Line("flow").Int(src).Int(dst).Uint(class).Uint(seq).Done()
+//
+// Numeric fields are formatted straight into the output buffer, so a
+// numeric record costs no allocation. No field can contain a separator
+// byte: digits, signs and hexadecimal floats never do, and Str quotes
+// its string.
+func (e *Encoder) Line(key string) Line {
+	if e.ready() {
+		if validName(key) {
+			e.open = key
+			e.write(key)
+		} else {
+			e.err = fmt.Errorf("ckpt: invalid record key %q", key)
 		}
 	}
-	if len(fields) == 0 {
-		e.line(key)
-		return
+	return Line{e}
+}
+
+// Line is a record being written; see Encoder.Line. Every method is a
+// no-op once the encoder has latched an error.
+type Line struct{ e *Encoder }
+
+// Uint appends an unsigned integer field.
+func (l Line) Uint(v uint64) Line {
+	if l.e.err == nil {
+		l.e.field(strconv.AppendUint(l.e.num[:0], v, 10))
 	}
-	e.line(key + " " + strings.Join(fields, " "))
+	return l
+}
+
+// Int appends a signed integer field.
+func (l Line) Int(v int64) Line {
+	if l.e.err == nil {
+		l.e.field(strconv.AppendInt(l.e.num[:0], v, 10))
+	}
+	return l
+}
+
+// Float appends a float64 field in hexadecimal notation; the decoded
+// value is bit-identical, including negative zero, infinities, and the
+// NaN the stats package uses for undefined moments.
+func (l Line) Float(v float64) Line {
+	if l.e.err == nil {
+		l.e.field(strconv.AppendFloat(l.e.num[:0], v, 'x', -1, 64))
+	}
+	return l
+}
+
+// Bool appends a boolean field as 0 or 1.
+func (l Line) Bool(v bool) Line {
+	if v {
+		return l.Uint(1)
+	}
+	return l.Uint(0)
+}
+
+// Str appends a string field rendered with Quote.
+func (l Line) Str(s string) Line {
+	if l.e.err == nil {
+		l.e.field([]byte(Quote(s)))
+	}
+	return l
+}
+
+// Done ends the record.
+func (l Line) Done() {
+	if l.e.err == nil {
+		l.e.open = ""
+		l.e.endLine()
+	}
 }
 
 // Close writes the checksum trailer and flushes. It reports the first
 // error encountered anywhere in the encode.
 func (e *Encoder) Close() error {
-	if e.err == nil && len(e.sections) != 0 {
+	if e.ready() && len(e.sections) != 0 {
 		e.err = fmt.Errorf("ckpt: Close with section %q still open", e.sections[len(e.sections)-1])
 	}
 	if e.err != nil {
@@ -145,7 +238,7 @@ func (e *Encoder) Close() error {
 	}
 	// The checksum line covers everything before it and is not itself
 	// hashed.
-	if _, err := fmt.Fprintf(e.w, "checksum %016x\n", e.sum.Sum64()); err != nil {
+	if _, err := fmt.Fprintf(e.w, "checksum %016x\n", e.sum); err != nil {
 		e.err = err
 		return e.err
 	}
@@ -162,25 +255,6 @@ func (e *Encoder) Fail(err error) {
 	if e.err == nil && err != nil {
 		e.err = err
 	}
-}
-
-// Uint renders an unsigned integer token.
-func Uint(v uint64) string { return strconv.FormatUint(v, 10) }
-
-// Int renders a signed integer token.
-func Int(v int64) string { return strconv.FormatInt(v, 10) }
-
-// Float renders a float64 token in hexadecimal notation; the decoded
-// value is bit-identical, including negative zero, infinities, and the
-// NaN the stats package uses for undefined moments.
-func Float(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
-
-// Bool renders a boolean token as 0 or 1.
-func Bool(v bool) string {
-	if v {
-		return "1"
-	}
-	return "0"
 }
 
 // Quote renders a string token as a Go-quoted literal with spaces
@@ -213,27 +287,30 @@ func validName(s string) bool {
 // latch; Close verifies the checksum trailer and clean EOF.
 type Decoder struct {
 	r        *bufio.Reader
-	sum      interface{ Sum64() uint64 }
-	hashed   uint64 // checksum state folded over consumed lines
+	sum      uint64 // FNV-1a state over every consumed line
 	sections []string
-	peeked   *string // one-line lookahead (already hashed)
-	err      error
-	hash     func(s string)
+	// line is the most recently consumed line; the current Rec's fields
+	// point into it.
+	line []byte
+	// ahead is the one-line lookahead when peeked is set. It is not yet
+	// hashed: next folds it into the checksum when it consumes it.
+	ahead  []byte
+	peeked bool
+	rec    Rec // the cursor Record hands out, reused for every record
+	err    error
 }
 
 // NewDecoder wraps r and validates the version-1 header line.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	h := fnv.New64a()
-	d := &Decoder{r: bufio.NewReader(r), sum: h}
-	d.hash = func(s string) { _, _ = io.WriteString(h, s) }
-	first, err := d.rawLine()
+	d := &Decoder{r: bufio.NewReader(r), sum: fnvOffset}
+	d.rec.d = d
+	first, err := d.readLine(nil)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: header: %w", err)
 	}
-	d.hash(first)
-	d.hash("\n")
-	if first != header {
-		if strings.HasPrefix(first, magic+" ") {
+	d.sum = fold(fold(d.sum, first), "\n")
+	if string(first) != header {
+		if bytes.HasPrefix(first, []byte(magic+" ")) {
 			return nil, fmt.Errorf("ckpt: unsupported version %q (this build reads v%d)", first, Version)
 		}
 		return nil, fmt.Errorf("ckpt: not a checkpoint (header %q)", first)
@@ -241,71 +318,78 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	return d, nil
 }
 
-// rawLine reads one line (without the newline). It does not hash and
-// does not consult the lookahead; hashing happens when the line is
-// consumed by next, so a peeked-but-unconsumed trailer never perturbs
-// the checksum Close captures.
-func (d *Decoder) rawLine() (string, error) {
-	s, err := d.r.ReadString('\n')
-	if err != nil {
-		if err == io.EOF && s != "" {
-			return "", fmt.Errorf("truncated line %q", s)
+// readLine reads one line into buf's storage and returns it without the
+// newline. It does not hash and does not consult the lookahead; hashing
+// happens when the line is consumed by next, so a peeked-but-unconsumed
+// trailer never perturbs the checksum Close captures.
+func (d *Decoder) readLine(buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	for {
+		frag, err := d.r.ReadSlice('\n')
+		buf = append(buf, frag...)
+		if err == nil {
+			break
 		}
-		return "", err
+		if err != bufio.ErrBufferFull {
+			if err == io.EOF && len(buf) > 0 {
+				return buf, fmt.Errorf("truncated line %q", buf)
+			}
+			return buf, err
+		}
 	}
-	s = s[:len(s)-1]
-	if strings.ContainsRune(s, '\r') {
-		return "", fmt.Errorf("carriage return in line %q", s)
+	buf = buf[:len(buf)-1]
+	if bytes.IndexByte(buf, '\r') >= 0 {
+		return buf, fmt.Errorf("carriage return in line %q", buf)
 	}
-	return s, nil
+	return buf, nil
 }
 
-// next returns the next line, consuming (and hashing) the lookahead if
-// present.
-func (d *Decoder) next() (string, error) {
+// readErr latches a readLine failure.
+func (d *Decoder) readErr(err error) error {
+	if err == io.EOF {
+		d.err = fmt.Errorf("ckpt: unexpected end of checkpoint")
+	} else {
+		d.err = fmt.Errorf("ckpt: %w", err)
+	}
+	return d.err
+}
+
+// next consumes the next line, taking the lookahead if present, and
+// folds it into the checksum. The returned bytes stay valid until the
+// following call to next.
+func (d *Decoder) next() ([]byte, error) {
 	if d.err != nil {
-		return "", d.err
+		return nil, d.err
 	}
-	if d.peeked != nil {
-		s := *d.peeked
-		d.peeked = nil
-		d.hash(s)
-		d.hash("\n")
-		return s, nil
-	}
-	s, err := d.rawLine()
-	if err != nil {
-		if err == io.EOF {
-			d.err = fmt.Errorf("ckpt: unexpected end of checkpoint")
-		} else {
-			d.err = fmt.Errorf("ckpt: %w", err)
+	if d.peeked {
+		d.line, d.ahead = d.ahead, d.line
+		d.peeked = false
+	} else {
+		line, err := d.readLine(d.line)
+		d.line = line
+		if err != nil {
+			return nil, d.readErr(err)
 		}
-		return "", d.err
 	}
-	d.hash(s)
-	d.hash("\n")
-	return s, nil
+	d.sum = fold(fold(d.sum, d.line), "\n")
+	return d.line, nil
 }
 
 // peek returns the next line without consuming it (and without folding
 // it into the checksum — that happens when next consumes it).
-func (d *Decoder) peek() (string, error) {
+func (d *Decoder) peek() ([]byte, error) {
 	if d.err != nil {
-		return "", d.err
+		return nil, d.err
 	}
-	if d.peeked == nil {
-		s, err := d.rawLine()
+	if !d.peeked {
+		line, err := d.readLine(d.ahead)
+		d.ahead = line
 		if err != nil {
-			if err == io.EOF {
-				d.err = fmt.Errorf("ckpt: unexpected end of checkpoint")
-			} else {
-				d.err = fmt.Errorf("ckpt: %w", err)
-			}
-			return "", d.err
+			return nil, d.readErr(err)
 		}
-		d.peeked = &s
+		d.peeked = true
 	}
-	return *d.peeked, nil
+	return d.ahead, nil
 }
 
 // fail latches and returns a decode error.
@@ -319,13 +403,20 @@ func (d *Decoder) fail(format string, args ...any) error {
 // Err reports the latched error, if any.
 func (d *Decoder) Err() error { return d.err }
 
+// isTag reports whether line is exactly word + " " + section.
+func isTag(line []byte, word, section string) bool {
+	return len(line) == len(word)+1+len(section) &&
+		string(line[:len(word)]) == word && line[len(word)] == ' ' &&
+		string(line[len(word)+1:]) == section
+}
+
 // Begin consumes the opening line of the named section.
 func (d *Decoder) Begin(section string) error {
 	line, err := d.next()
 	if err != nil {
 		return err
 	}
-	if line != "begin "+section {
+	if !isTag(line, "begin", section) {
 		return d.fail("want %q, found %q", "begin "+section, line)
 	}
 	d.sections = append(d.sections, section)
@@ -342,7 +433,7 @@ func (d *Decoder) End(section string) error {
 	if len(d.sections) == 0 || d.sections[len(d.sections)-1] != section {
 		return d.fail("End(%q) does not match open section", section)
 	}
-	if line != "end "+section {
+	if !isTag(line, "end", section) {
 		return d.fail("want %q, found %q", "end "+section, line)
 	}
 	d.sections = d.sections[:len(d.sections)-1]
@@ -357,7 +448,7 @@ func (d *Decoder) AtEnd(section string) bool {
 	if err != nil {
 		return true // the latched error surfaces on the next read
 	}
-	return line == "end "+section
+	return isTag(line, "end", section)
 }
 
 // PeekKey reports the key token of the next record line without
@@ -367,32 +458,74 @@ func (d *Decoder) PeekKey() string {
 	if err != nil {
 		return ""
 	}
-	key, _, _ := strings.Cut(line, " ")
-	switch key {
+	key, _, _ := bytes.Cut(line, []byte(" "))
+	switch string(key) {
 	case "begin", "end", "checksum":
 		return ""
 	}
-	return key
+	return string(key)
 }
 
 // Record consumes the next line, which must be a record with the given
 // key, and returns a cursor over its field tokens. The cursor shares the
-// decoder's latched error state.
+// decoder's latched error state. The decoder reuses one cursor and one
+// line buffer, so the returned Rec is valid only until the next Begin,
+// End, Record or Close: read its fields before reading on.
 func (d *Decoder) Record(key string) *Rec {
-	rec := &Rec{d: d, key: key}
+	rec := &d.rec
+	rec.key, rec.fields, rec.pos = key, rec.fields[:0], 0
 	line, err := d.next()
 	if err != nil {
 		return rec
 	}
-	got, rest, _ := strings.Cut(line, " ")
-	if got != key {
+	got, rest, hasFields := bytes.Cut(line, []byte(" "))
+	if string(got) != key {
 		_ = d.fail("want record %q, found %q", key, line)
 		return rec
 	}
-	if rest != "" {
-		rec.fields = strings.Fields(rest)
+	if hasFields {
+		var ok bool
+		if rec.fields, ok = splitFields(rec.fields, rest); !ok {
+			_ = d.fail("record %q: malformed field separators in %q", key, line)
+		}
 	}
 	return rec
+}
+
+// asciiSpace marks the ASCII bytes strings.Fields splits on.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields appends the tokens of s to dst. It accepts only the form
+// the encoder writes — nonempty tokens joined by single spaces, with no
+// other white space anywhere — and reports false for anything else.
+// Whatever it accepts, strings.Fields splits into the same tokens.
+func splitFields(dst [][]byte, s []byte) ([][]byte, bool) {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == ' ':
+			if i == start {
+				return dst, false
+			}
+			dst = append(dst, s[start:i])
+			start = i + 1
+		case c < utf8.RuneSelf:
+			if asciiSpace[c] {
+				return dst, false
+			}
+		default:
+			r, size := utf8.DecodeRune(s[i:])
+			if unicode.IsSpace(r) {
+				return dst, false
+			}
+			i += size - 1
+		}
+	}
+	if start == len(s) {
+		return dst, false
+	}
+	return append(dst, s[start:]), true
 }
 
 // Close consumes the checksum trailer, verifies it, and requires clean
@@ -404,12 +537,12 @@ func (d *Decoder) Close() error {
 	if len(d.sections) != 0 {
 		return d.fail("Close with section %q still open", d.sections[len(d.sections)-1])
 	}
-	want := d.sum.Sum64() // state before the trailer line is hashed
+	want := d.sum // state before the trailer line is hashed
 	line, err := d.next()
 	if err != nil {
 		return err
 	}
-	fields := strings.Fields(line)
+	fields := strings.Fields(string(line))
 	if len(fields) != 2 || fields[0] != "checksum" {
 		return d.fail("want checksum trailer, found %q", line)
 	}
@@ -429,22 +562,22 @@ func (d *Decoder) Close() error {
 // Rec is a sequential cursor over one record's field tokens. Typed reads
 // consume tokens left to right; Done asserts exhaustion. All methods are
 // no-ops (returning zero values) once an error is latched on the
-// decoder.
+// decoder. A Rec is valid only until the decoder reads on (see Record).
 type Rec struct {
 	d      *Decoder
 	key    string
-	fields []string
+	fields [][]byte // tokens inside the decoder's current line
 	pos    int
 }
 
 // token consumes the next raw field token.
-func (r *Rec) token() (string, bool) {
+func (r *Rec) token() ([]byte, bool) {
 	if r.d.err != nil {
-		return "", false
+		return nil, false
 	}
 	if r.pos >= len(r.fields) {
 		_ = r.d.fail("record %q: missing field %d", r.key, r.pos+1)
-		return "", false
+		return nil, false
 	}
 	t := r.fields[r.pos]
 	r.pos++
@@ -457,7 +590,9 @@ func (r *Rec) Uint() uint64 {
 	if !ok {
 		return 0
 	}
-	v, err := strconv.ParseUint(t, 10, 64)
+	// strconv copies its input into any error it returns, so the
+	// conversion of a short token stays on the stack.
+	v, err := strconv.ParseUint(string(t), 10, 64)
 	if err != nil {
 		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
 		return 0
@@ -471,7 +606,7 @@ func (r *Rec) Int() int64 {
 	if !ok {
 		return 0
 	}
-	v, err := strconv.ParseInt(t, 10, 64)
+	v, err := strconv.ParseInt(string(t), 10, 64)
 	if err != nil {
 		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
 		return 0
@@ -495,7 +630,7 @@ func (r *Rec) Float() float64 {
 	if !ok {
 		return 0
 	}
-	v, err := strconv.ParseFloat(t, 64)
+	v, err := strconv.ParseFloat(string(t), 64)
 	if err != nil {
 		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
 		return 0
@@ -509,7 +644,7 @@ func (r *Rec) Bool() bool {
 	if !ok {
 		return false
 	}
-	switch t {
+	switch string(t) {
 	case "0":
 		return false
 	case "1":
@@ -525,7 +660,7 @@ func (r *Rec) Str() string {
 	if !ok {
 		return ""
 	}
-	v, err := strconv.Unquote(t)
+	v, err := strconv.Unquote(string(t))
 	if err != nil {
 		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
 		return ""

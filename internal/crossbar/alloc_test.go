@@ -66,7 +66,7 @@ func TestStepStaysAllocationFree(t *testing.T) {
 // cycle in steady state allocates nothing and preserves the identity
 // sequence a fresh allocator would produce.
 func TestAllocatorRecyclesCells(t *testing.T) {
-	a := packet.NewAllocator()
+	a := packet.NewAllocator(4)
 	// Warm the flow-key map and the free list.
 	a.Free(a.New(1, 2, packet.Data, 0))
 	var c *packet.Cell
@@ -79,8 +79,8 @@ func TestAllocatorRecyclesCells(t *testing.T) {
 	}
 	// Identity must match a never-recycling allocator making the same
 	// sequence of New calls.
-	recycling := packet.NewAllocator()
-	fresh := packet.NewAllocator()
+	recycling := packet.NewAllocator(4)
+	fresh := packet.NewAllocator(4)
 	var got, want *packet.Cell
 	for i := 0; i < 100; i++ {
 		got = recycling.New(1, 2, packet.Data, 7)

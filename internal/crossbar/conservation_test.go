@@ -18,7 +18,7 @@ func TestWorkConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(n)
 	arrivals := make([]*packet.Cell, n)
 	// Saturate: every input injects a cell every slot.
 	gens, err := traffic.Build(traffic.Config{Kind: traffic.KindUniform, N: n, Load: 1.0, Seed: 1})

@@ -420,8 +420,8 @@ func New(cfg Config) (*Switch, error) {
 		s.voqs[i] = newVOQSet(cfg.N)
 		s.egress[i] = &egressQ{receivers: cfg.Receivers, capacity: cfg.EgressCapacity}
 	}
-	s.alloc = packet.NewAllocator()
-	s.order = packet.NewOrderChecker()
+	s.alloc = packet.NewAllocator(cfg.N)
+	s.order = packet.NewOrderChecker(cfg.N)
 	s.metrics.CycleTime = cfg.Format.CycleTime()
 	s.metrics.SrcOffered = make([]uint64, cfg.N)
 	s.metrics.SrcDelivered = make([]uint64, cfg.N)

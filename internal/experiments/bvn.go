@@ -37,7 +37,7 @@ func runBvN(cfg RunConfig) (*Result, error) {
 			count++
 		}
 		rng := sim.NewRNG(cfg.seed())
-		alloc := packet.NewAllocator()
+		alloc := packet.NewAllocator(n)
 		arrivals := make([]*packet.Cell, n)
 		for slot := uint64(0); slot < warm+meas; slot++ {
 			for i := range arrivals {
@@ -96,9 +96,9 @@ func runBvN(cfg RunConfig) (*Result, error) {
 // counts per-flow order violations at the sink.
 func bvnReorderProbe(n int, cells int) uint64 {
 	b := sched.NewBvN(n)
-	order := packet.NewOrderChecker()
+	order := packet.NewOrderChecker(n)
 	b.Sink = func(c *packet.Cell, _ uint64) { order.Deliver(c) }
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(n)
 	arrivals := make([]*packet.Cell, n)
 	for slot := 0; slot < cells; slot++ {
 		for i := range arrivals {

@@ -47,7 +47,7 @@ func runContainer(cfg RunConfig) (*Result, error) {
 			count++
 		}
 		rng := sim.NewRNG(cfg.seed())
-		alloc := packet.NewAllocator()
+		alloc := packet.NewAllocator(n)
 		arrivals := make([]*packet.Cell, n)
 		for s := uint64(0); s < warm+10*meas; s++ {
 			for i := range arrivals {

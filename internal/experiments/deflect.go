@@ -32,14 +32,14 @@ func runDeflect(cfg RunConfig) (*Result, error) {
 	for _, load := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
 		// Deflection switch.
 		d := sched.NewDeflect(n, 4, 1<<20)
-		order := packet.NewOrderChecker()
+		order := packet.NewOrderChecker(n)
 		delivered := 0
 		d.Sink = func(c *packet.Cell, _ uint64) {
 			delivered++
 			order.Deliver(c)
 		}
 		rng := sim.NewRNG(cfg.seed())
-		alloc := packet.NewAllocator()
+		alloc := packet.NewAllocator(n)
 		arrivals := make([]*packet.Cell, n)
 		slots := warm + meas
 		for s := uint64(0); s < slots; s++ {

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -94,4 +95,54 @@ func BenchmarkFabricStepSmall(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSessionSaveResume measures the checkpoint layer: one
+// iteration saves a session paused at a fixed slot and resumes the
+// snapshot on a fresh fabric. Every iteration does the same work, so
+// ns/op does not depend on -benchtime. Building the fresh fabric and
+// generators is outside the timed region; snapshot-B reports the size.
+func BenchmarkSessionSaveResume(b *testing.B) {
+	const hosts, ckptSlot = 512, 120
+	cfg := Config{
+		Hosts: hosts, Radix: 32, Receivers: 2,
+		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(32, 0) },
+		LinkDelaySlots: 5, Shards: 2,
+	}
+	tcfg := traffic.Config{Kind: traffic.KindUniform, N: hosts, Load: 0.6, Seed: 1}
+	build := func() (*Fabric, []traffic.Generator) {
+		f, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gens, err := traffic.Build(tcfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return f, gens
+	}
+	f, gens := build()
+	s, err := StartSession(f, gens, ckptSlot, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Advance(ckptSlot); err != nil {
+		b.Fatal(err)
+	}
+	var snap bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rf, rgens := build()
+		snap.Reset()
+		b.StartTimer()
+		if err := s.Save(&snap); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ResumeSession(rf, rgens, bytes.NewReader(snap.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(snap.Len()), "snapshot-B")
 }

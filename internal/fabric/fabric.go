@@ -133,6 +133,9 @@ type Fabric struct {
 	// hostEgress[h] is the egress adapter of host h.
 	hostEgress []*voq.Egress
 
+	// alloc feeds the serial drive's coordinator-side injection. It
+	// shares one sequence table with the shards' allocators: a source
+	// row is only ever advanced by whoever injects for that host.
 	alloc *packet.Allocator
 	order *packet.OrderChecker
 
@@ -186,8 +189,7 @@ func New(cfg Config) (*Fabric, error) {
 		cfg:     cfg,
 		net:     cfg.Network,
 		nodeIdx: make(map[NodeID]int),
-		alloc:   packet.NewAllocator(),
-		order:   packet.NewOrderChecker(),
+		order:   packet.NewOrderChecker(cfg.Hosts),
 	}
 	f.metrics.CycleTime = cfg.Format.CycleTime()
 	f.metrics.HopHistogram = make(map[int]uint64)
@@ -251,6 +253,8 @@ func (f *Fabric) partition(s int) error {
 	f.cfg.Shards = s
 	f.nodeShard = make([]int, len(f.nodes))
 	f.shards = make([]*shard, s)
+	allocs := packet.NewAllocators(f.cfg.Hosts, 1+s)
+	f.alloc = allocs[0]
 	window := f.cfg.LinkDelaySlots + 1
 	for i := 0; i < s; i++ {
 		lo := i * len(f.nodes) / s
@@ -258,7 +262,7 @@ func (f *Fabric) partition(s int) error {
 		for ni := lo; ni < hi; ni++ {
 			f.nodeShard[ni] = i
 		}
-		f.shards[i] = newShard(f, i, lo, hi, s, window)
+		f.shards[i] = newShard(f, i, lo, hi, s, window, allocs[1+i])
 	}
 	// Host ownership follows leaf ownership; the metric merge relies on
 	// shard order being global host order, so the attachment order must

@@ -121,11 +121,10 @@ func (s *Session) Save(w io.Writer) error {
 // wrap it in their own framing. Save is the standalone form.
 func (s *Session) SaveState(e *ckpt.Encoder) {
 	e.Begin("session")
-	e.Put("run", ckpt.Uint(s.base), ckpt.Uint(s.warmup), ckpt.Uint(s.measure),
-		ckpt.Bool(s.finished))
+	e.Line("run").Uint(s.base).Uint(s.warmup).Uint(s.measure).Bool(s.finished).Done()
 	s.f.SaveState(e)
 	e.Begin("gens")
-	e.Put("ngens", ckpt.Uint(uint64(len(s.gens))))
+	e.Line("ngens").Uint(uint64(len(s.gens))).Done()
 	for h, g := range s.gens {
 		codec, ok := g.(traffic.StateCodec)
 		if !ok {

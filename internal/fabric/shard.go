@@ -45,8 +45,9 @@ type shard struct {
 	// global (slot, host) order.
 	delivered [][]*packet.Cell
 
-	// alloc feeds shard-side injection (RunParallel); recycled at the
-	// barrier from this shard's delivered cells.
+	// alloc feeds shard-side injection (windowed runs); recycled at the
+	// barrier from this shard's delivered cells. It advances only the
+	// sequence rows of this shard's hosts in the fabric's shared table.
 	alloc *packet.Allocator
 
 	// active is the arbitration work set: bit (ni - nodeLo) is set while
@@ -81,13 +82,13 @@ type farCredit struct {
 }
 
 // newShard builds the shard for nodes [lo, hi).
-func newShard(f *Fabric, idx, lo, hi, nShards, window int) *shard {
+func newShard(f *Fabric, idx, lo, hi, nShards, window int, alloc *packet.Allocator) *shard {
 	s := &shard{
 		f:      f,
 		idx:    idx,
 		nodeLo: lo,
 		nodeHi: hi,
-		alloc:  packet.NewAllocator(),
+		alloc:  alloc,
 	}
 	s.inflight = make([][]delivery, f.ringLen)
 	s.creditWire = make([][]creditReturn, f.ringLen)

@@ -18,7 +18,7 @@ package fabric
 //	        <injectOffered> <shardOffered>
 //	  begin metrics ... end metrics
 //	  order/oflow records        (delivery-order checker)
-//	  alloc/flow records         (merged cell-identity counters)
+//	  alloc/flow records         (cell-identity counters)
 //	  begin nodes   one "begin node" per switch, in Net.NodeIDs order
 //	  begin hosts   one egress section per host port
 //	  begin wires   in-flight cells then aggregated credit returns,
@@ -111,6 +111,16 @@ func (f *Fabric) collectWires() ([]wireCell, []wireCredit) {
 	return cells, creds
 }
 
+// allocators lists the coordinator's allocator and then every shard's;
+// together they own the fabric's one sequence table.
+func (f *Fabric) allocators() []*packet.Allocator {
+	allocs := []*packet.Allocator{f.alloc}
+	for _, s := range f.shards {
+		allocs = append(allocs, s.alloc)
+	}
+	return allocs
+}
+
 // atBarrier reports whether the fabric is at a window barrier: every
 // cross-shard mailbox drained and every delivered buffer folded into the
 // metrics. True after New, Step, Run, RunParallel, and between Session
@@ -139,9 +149,9 @@ func (f *Fabric) atBarrier() bool {
 func (f *Fabric) saveMetrics(e *ckpt.Encoder) {
 	m := &f.metrics
 	e.Begin("metrics")
-	e.Put("m", ckpt.Uint(m.Offered), ckpt.Uint(m.Delivered), ckpt.Uint(m.MeasureSlots),
-		ckpt.Uint(m.OrderViolations), ckpt.Uint(m.Dropped), ckpt.Uint(m.FCBlocked),
-		ckpt.Int(int64(m.MaxVOQDepth)), ckpt.Int(int64(m.MaxInterInputDepth)))
+	e.Line("m").Uint(m.Offered).Uint(m.Delivered).Uint(m.MeasureSlots).
+		Uint(m.OrderViolations).Uint(m.Dropped).Uint(m.FCBlocked).
+		Int(int64(m.MaxVOQDepth)).Int(int64(m.MaxInterInputDepth)).Done()
 	m.LatencySlots.SaveState(e)
 	m.ControlLatencySlots.SaveState(e)
 	hops := make([]int, 0, len(m.HopHistogram))
@@ -149,9 +159,9 @@ func (f *Fabric) saveMetrics(e *ckpt.Encoder) {
 		hops = append(hops, h)
 	}
 	sort.Ints(hops)
-	e.Put("hops", ckpt.Uint(uint64(len(hops))))
+	e.Line("hops").Uint(uint64(len(hops))).Done()
 	for _, h := range hops {
-		e.Put("hop", ckpt.Int(int64(h)), ckpt.Uint(m.HopHistogram[h]))
+		e.Line("hop").Int(int64(h)).Uint(m.HopHistogram[h]).Done()
 	}
 	e.End("metrics")
 }
@@ -179,7 +189,9 @@ func (f *Fabric) loadMetrics(d *ckpt.Decoder) error {
 	if err := hr.Done(); err != nil {
 		return err
 	}
-	m.HopHistogram = make(map[int]uint64, nh)
+	// nh comes from the file; a histogram holds one bucket per hop
+	// count, so a small size hint covers every real snapshot.
+	m.HopHistogram = make(map[int]uint64, min(nh, 64))
 	for i := uint64(0); i < nh; i++ {
 		rec := d.Record("hop")
 		h, c := rec.IntAsInt(), rec.Uint()
@@ -196,7 +208,7 @@ func (f *Fabric) loadMetrics(d *ckpt.Decoder) error {
 
 func (f *Fabric) saveNode(e *ckpt.Encoder, n *node) {
 	e.Begin("node")
-	e.Put("nstat", ckpt.Uint(n.fcBlocked), ckpt.Int(int64(n.maxVOQDepth)))
+	e.Line("nstat").Uint(n.fcBlocked).Int(int64(n.maxVOQDepth)).Done()
 	codec, ok := n.sch.(sched.StateCodec)
 	if !ok {
 		e.Fail(fmt.Errorf("fabric: scheduler %T of node %v is not checkpointable", n.sch, n.id))
@@ -212,21 +224,21 @@ func (f *Fabric) saveNode(e *ckpt.Encoder, n *node) {
 			ncred++
 		}
 	}
-	e.Put("ncred", ckpt.Uint(uint64(ncred)))
+	e.Line("ncred").Uint(uint64(ncred)).Done()
 	for out, c := range n.credits {
 		if c == nil {
 			continue
 		}
-		e.Put("credout", ckpt.Int(int64(out)))
+		e.Line("credout").Int(int64(out)).Done()
 		c.SaveState(e)
 	}
 	if n.egress != nil {
-		e.Put("negress", ckpt.Uint(uint64(len(n.egress))))
+		e.Line("negress").Uint(uint64(len(n.egress))).Done()
 		for _, eg := range n.egress {
 			eg.SaveState(e)
 		}
 	} else {
-		e.Put("negress", ckpt.Uint(0))
+		e.Line("negress").Uint(0).Done()
 	}
 	e.End("node")
 }
@@ -308,27 +320,22 @@ func (f *Fabric) SaveState(e *ckpt.Encoder) {
 		return
 	}
 	e.Begin("fabric")
-	e.Put("shape",
-		ckpt.Int(int64(f.cfg.Hosts)), ckpt.Int(int64(f.cfg.Radix)),
-		ckpt.Int(int64(f.cfg.Receivers)), ckpt.Int(int64(f.cfg.LinkDelaySlots)),
-		ckpt.Int(int64(f.cfg.InputCapacity)), ckpt.Bool(f.cfg.EgressBuffered),
-		ckpt.Int(int64(f.ringLen)), ckpt.Int(int64(len(f.nodes))),
-		ckpt.Int(int64(f.metrics.CycleTime)))
+	e.Line("shape").
+		Int(int64(f.cfg.Hosts)).Int(int64(f.cfg.Radix)).
+		Int(int64(f.cfg.Receivers)).Int(int64(f.cfg.LinkDelaySlots)).
+		Int(int64(f.cfg.InputCapacity)).Bool(f.cfg.EgressBuffered).
+		Int(int64(f.ringLen)).Int(int64(len(f.nodes))).
+		Int(int64(f.metrics.CycleTime)).Done()
 	var shardOffered uint64
 	for _, s := range f.shards {
 		shardOffered += s.offered
 	}
-	e.Put("clock",
-		ckpt.Uint(f.slot), ckpt.Bool(f.measuring), ckpt.Bool(f.measureSet),
-		ckpt.Uint(f.measureFrom), ckpt.Uint(f.injectOffered), ckpt.Uint(shardOffered))
+	e.Line("clock").
+		Uint(f.slot).Bool(f.measuring).Bool(f.measureSet).
+		Uint(f.measureFrom).Uint(f.injectOffered).Uint(shardOffered).Done()
 	f.saveMetrics(e)
 	f.order.SaveState(e)
-	allocs := make([]*packet.Allocator, 0, 1+len(f.shards))
-	allocs = append(allocs, f.alloc)
-	for _, s := range f.shards {
-		allocs = append(allocs, s.alloc)
-	}
-	packet.SaveMergedState(e, allocs...)
+	packet.SaveAllocators(e, f.allocators())
 
 	e.Begin("nodes")
 	for _, n := range f.nodes {
@@ -351,15 +358,15 @@ func (f *Fabric) SaveState(e *ckpt.Encoder) {
 
 	cells, creds := f.collectWires()
 	e.Begin("wires")
-	e.Put("cells", ckpt.Uint(uint64(len(cells))))
+	e.Line("cells").Uint(uint64(len(cells))).Done()
 	for _, wc := range cells {
-		e.Put("w", ckpt.Uint(wc.land), ckpt.Int(int64(wc.d.node)), ckpt.Int(int64(wc.d.port)))
+		e.Line("w").Uint(wc.land).Int(int64(wc.d.node)).Int(int64(wc.d.port)).Done()
 		packet.SaveCell(e, wc.d.cell)
 	}
-	e.Put("creds", ckpt.Uint(uint64(len(creds))))
+	e.Line("creds").Uint(uint64(len(creds))).Done()
 	for _, wc := range creds {
-		e.Put("cw", ckpt.Uint(wc.land), ckpt.Int(int64(wc.node)), ckpt.Int(int64(wc.port)),
-			ckpt.Int(int64(wc.count)))
+		e.Line("cw").Uint(wc.land).Int(int64(wc.node)).Int(int64(wc.port)).
+			Int(int64(wc.count)).Done()
 	}
 	e.End("wires")
 	e.End("fabric")
@@ -410,12 +417,7 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 	if err := f.order.LoadState(d); err != nil {
 		return err
 	}
-	allocs := make([]*packet.Allocator, 0, 1+len(f.shards))
-	allocs = append(allocs, f.alloc)
-	for _, s := range f.shards {
-		allocs = append(allocs, s.alloc)
-	}
-	if err := packet.LoadMergedState(d, allocs...); err != nil {
+	if err := packet.LoadAllocators(d, f.allocators()); err != nil {
 		return err
 	}
 
@@ -525,8 +527,10 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 		if land < slot || land >= horizon {
 			return fmt.Errorf("fabric: credit return lands at slot %d outside [%d, %d)", land, slot, horizon)
 		}
-		if count <= 0 {
-			return fmt.Errorf("fabric: credit return count %d must be positive", count)
+		// A port never has more credits in flight than its counter holds
+		// in all, and the count is expanded one entry per credit below.
+		if count <= 0 || count > f.cfg.InputCapacity {
+			return fmt.Errorf("fabric: credit return count %d outside [1, %d]", count, f.cfg.InputCapacity)
 		}
 		sh := f.shards[f.nodeShard[node]]
 		k := int(land % uint64(f.ringLen))

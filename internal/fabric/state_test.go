@@ -8,6 +8,9 @@ package fabric
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -414,4 +417,153 @@ func TestGoldenCheckpoint2048Ports(t *testing.T) {
 			t.Fatalf("ckpt@%d produced empty snapshot", ckptAt)
 		}
 	}
+}
+
+// pinnedShape is the small shape whose snapshot bytes are pinned: 128
+// hosts, radix 16, delay 3 (window 4), uniform load 0.7.
+func pinnedShape(shards int) (Config, traffic.Config) {
+	return Config{Hosts: 128, Radix: 16, Receivers: 2,
+			NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(16, 0) },
+			LinkDelaySlots: 3, Shards: shards},
+		traffic.Config{Kind: traffic.KindUniform, N: 128, Load: 0.7, Seed: 5}
+}
+
+// pinnedSnapshot drives the pinned shape to slot 37 (inside warm-up and
+// mid-window) and returns the session snapshot. shards 0 selects the
+// serial drive: Run's coordinator allocates and injects every arrival
+// and the fabric advances one Step at a time.
+func pinnedSnapshot(t *testing.T, shards int) []byte {
+	t.Helper()
+	cfg, tcfg := pinnedShape(max(shards, 1))
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := buildGens(t, tcfg)
+	s, err := StartSession(f, gens, 60, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 37
+	if shards == 0 {
+		// Inside warm-up, so Run's measurement switch never fires; the
+		// session's own measurement window stays as StartSession set it.
+		if _, err := f.Run(gens, at, 0); err != nil {
+			t.Fatal(err)
+		}
+	} else if _, err := s.Advance(at); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := s.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Bytes()
+}
+
+// TestCheckpointBytesPinned pins the osmosis-ckpt v1 bytes of a
+// two-shard session snapshot: any change to what Save writes, or to how
+// it writes it, shows up here as a different hash.
+func TestCheckpointBytesPinned(t *testing.T) {
+	snap := pinnedSnapshot(t, 2)
+	h := fnv.New64a()
+	h.Write(snap)
+	if got, want := h.Sum64(), uint64(0x51b44487b1943d15); got != want {
+		t.Errorf("snapshot of %d bytes hashes to %016x, pinned %016x", len(snap), got, want)
+	}
+}
+
+// TestCheckpointBytesAcrossDrives: the snapshot at one slot does not
+// depend on who drove the run. The serial drive and one shard write the
+// same bytes. More shards write the same bytes too, except for cell IDs
+// and the alloc record's ID counter: every allocator numbers its own
+// cells, so those diagnostic IDs follow the partition. Flow sequence
+// numbers — the identity the order checker consumes — do not.
+func TestCheckpointBytesAcrossDrives(t *testing.T) {
+	serial := pinnedSnapshot(t, 0)
+	if one := pinnedSnapshot(t, 1); !bytes.Equal(one, serial) {
+		t.Fatal("one-shard snapshot differs from the serial drive's")
+	}
+	// maskIDs blanks the ID field of cell and alloc records and drops
+	// the checksum trailer that covers them.
+	maskIDs := func(snap []byte) []string {
+		lines := strings.Split(strings.TrimSuffix(string(snap), "\n"), "\n")
+		lines = lines[:len(lines)-1]
+		for i, l := range lines {
+			if k, rest, ok := strings.Cut(l, " "); ok && (k == "cell" || k == "alloc") {
+				_, rest, _ = strings.Cut(rest, " ")
+				lines[i] = k + " # " + rest
+			}
+		}
+		return lines
+	}
+	want := maskIDs(serial)
+	for _, shards := range []int{2, 4} {
+		got := maskIDs(pinnedSnapshot(t, shards))
+		if len(got) != len(want) {
+			t.Fatalf("%d shards: %d lines, serial drive %d", shards, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%d shards: line %d is %q, serial drive %q", shards, i+1, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRestoreRejectsForgedRecords: records naming hosts far outside the
+// fabric, or more in-flight credits than a port holds, are refused by
+// name before anything is allocated for them. Before these bounds, the
+// forged flow lines made the restore allocate about 640 MiB (the flow
+// bound was 2^24 ports) and the forged credit count appended credit
+// returns until memory ran out. Each forged snapshot is re-sealed, so
+// the edit is what the codecs see.
+func TestRestoreRejectsForgedRecords(t *testing.T) {
+	snap := string(pinnedSnapshot(t, 2))
+	far := func(f []string) { f[1], f[2] = "16777215", "16777215" } // flow src, dst
+	for _, tc := range []struct {
+		key  string
+		edit func(fields []string)
+		want string
+	}{
+		{"flow", far, "flow flow 16777215->16777215 outside the 128 host ports"},
+		{"oflow", far, "oflow flow 16777215->16777215 outside the 128 host ports"},
+		{"cw", func(f []string) { f[4] = "1099511627776" }, "credit return count 1099511627776 outside"},
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			i := strings.Index(snap, "\n"+tc.key+" ")
+			if i < 0 {
+				t.Fatalf("test setup: no %s record", tc.key)
+			}
+			end := i + 1 + strings.IndexByte(snap[i+1:], '\n')
+			fields := strings.Fields(snap[i+1 : end])
+			tc.edit(fields)
+			forged := reseal(snap[:i+1] + strings.Join(fields, " ") + snap[end:])
+			cfg, tcfg := pinnedShape(2)
+			f, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gens := buildGens(t, tcfg)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = ResumeSession(f, gens, strings.NewReader(forged))
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("forged %s record: error %v, want %q", tc.key, err, tc.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+				t.Errorf("forged %s record: restore allocated %d bytes before failing", tc.key, grew)
+			}
+		})
+	}
+}
+
+// reseal replaces the checksum trailer of an edited snapshot with the
+// FNV-1a hash of everything before it.
+func reseal(snap string) string {
+	body := snap[:strings.LastIndex(strings.TrimSuffix(snap, "\n"), "\n")+1]
+	h := fnv.New64a()
+	h.Write([]byte(body))
+	return body + fmt.Sprintf("checksum %016x\n", h.Sum64())
 }

@@ -26,11 +26,11 @@ func (c *Credits) SaveState(e *ckpt.Encoder) {
 			entries++
 		}
 	}
-	e.Put("credits", ckpt.Int(int64(c.avail)), ckpt.Uint(c.Shortfalls), ckpt.Uint(c.Lost),
-		ckpt.Int(int64(n)), ckpt.Int(int64(entries)))
+	e.Line("credits").Int(int64(c.avail)).Uint(c.Shortfalls).Uint(c.Lost).
+		Int(int64(n)).Int(int64(entries)).Done()
 	for k := 0; k < n; k++ {
 		if v := c.returning[(c.pos+k)%n]; v != 0 {
-			e.Put("ret", ckpt.Int(int64(k)), ckpt.Int(int64(v)))
+			e.Line("ret").Int(int64(k)).Int(int64(v)).Done()
 		}
 	}
 }

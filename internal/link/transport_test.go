@@ -65,14 +65,14 @@ func TestCellTransportOverNoisyHop(t *testing.T) {
 	rev := NewChannel(250*units.Nanosecond, units.OSMOSISPortRate, 2e-4, 2)
 	tr := NewCellTransport(k, fwd, rev, Codec{Interleave: 5}, 16, 3*units.Microsecond)
 
-	order := packet.NewOrderChecker()
+	order := packet.NewOrderChecker(16)
 	var got []*packet.Cell
 	tr.Deliver = func(c *packet.Cell) {
 		got = append(got, c)
 		order.Deliver(c)
 	}
 
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(16)
 	rng := sim.NewRNG(7)
 	const cells = 400
 	want := make([]*packet.Cell, 0, cells)

@@ -76,7 +76,7 @@ func (c *Cell) String() string {
 }
 
 // Allocator hands out cells with unique IDs and per-flow sequence
-// numbers. One allocator is shared per simulation run.
+// numbers.
 //
 // Retired cells can be handed back with Free; New then recycles them
 // instead of heap-allocating, so a steady-state simulation loop whose
@@ -85,42 +85,50 @@ func (c *Cell) String() string {
 // identical whether a cell is fresh or recycled.
 type Allocator struct {
 	nextID uint64
-	seq    flowTable
-	free   []*Cell
+	// seq may be shared with other allocators (NewAllocators); each
+	// source's row is then advanced only by the allocator serving that
+	// source.
+	seq  *flowTable
+	free []*Cell
 }
 
 // flowTable stores one uint64 per (src, dst, class) flow in dense
-// per-source rows indexed dst*2+class, grown on demand. At the loads
-// where flow state is hot, most (src, dst) pairs are live, so a dense
-// table beats a hash map: one predictable indexed load per access — no
-// key mixing, no probe chain, and no incremental-rehash pauses once
-// millions of flows exist. A value of 0 means the flow has never been
-// touched; both users encode live flows as values >= 1.
+// per-source rows indexed dst*2+class. At the loads where flow state is
+// hot, most (src, dst) pairs are live, so a dense table beats a hash
+// map: one predictable indexed load per access — no key mixing, no
+// probe chain, and no incremental-rehash pauses once millions of flows
+// exist. A value of 0 means the flow has never been touched; both users
+// encode live flows as values >= 1.
+//
+// The table is built for a known port count: its outer slice has one
+// entry per source port, and each row is allocated once, at full width,
+// on first touch. Nothing grows during a run, so distinct rows can be
+// written concurrently.
 //
 // Rows index by dst*2+class, so class must be Data or Control — which
 // Class is by construction everywhere cells are made.
 type flowTable struct {
-	rows [][]uint64
+	rows  [][]uint64
+	width int // row length: 2 per port
 }
 
-// slot returns the value cell for a flow, growing the table as needed.
+// newFlowTable returns an empty table for ports host ports.
+func newFlowTable(ports int) flowTable {
+	return flowTable{rows: make([][]uint64, ports), width: 2 * ports}
+}
+
+// slot returns the value cell for a flow, allocating its source's row
+// on first touch.
 //
 //osmosis:shardsafe
 func (t *flowTable) slot(src, dst int, class Class) *uint64 {
-	if src >= len(t.rows) {
-		//lint:ignore hotpath outer table reaches the source-port count once and stops growing
-		t.rows = append(t.rows, make([][]uint64, src+1-len(t.rows))...)
-	}
 	row := t.rows[src]
-	i := dst*2 + int(class)
-	if i >= len(row) {
-		//lint:ignore hotpath rows double toward the destination-port count and stop growing; cap-stable once every flow has been seen
-		grown := make([]uint64, max(i+1, 2*len(row)))
-		copy(grown, row)
-		row = grown
+	if row == nil {
+		//lint:ignore hotpath a row is allocated once per source port, at full width, on first touch
+		row = make([]uint64, t.width)
 		t.rows[src] = row
 	}
-	return &row[i]
+	return &row[dst*2+int(class)]
 }
 
 // each calls fn for every flow with a nonzero value, in (src, dst,
@@ -149,23 +157,24 @@ func (t *flowTable) count() uint64 {
 	return n
 }
 
-// clone returns a deep copy of the table.
-func (t *flowTable) clone() flowTable {
-	c := flowTable{rows: make([][]uint64, len(t.rows))}
-	for src, row := range t.rows {
-		if len(row) > 0 {
-			c.rows[src] = append([]uint64(nil), row...)
-		}
-	}
-	return c
+// NewAllocator returns an empty allocator for a run over ports host
+// ports, with a sequence table of its own.
+func NewAllocator(ports int) *Allocator {
+	return NewAllocators(ports, 1)[0]
 }
 
-// reset drops all flows.
-func (t *flowTable) reset() { t.rows = nil }
-
-// NewAllocator returns an empty allocator.
-func NewAllocator() *Allocator {
-	return &Allocator{}
+// NewAllocators returns n allocators for a run over ports host ports.
+// Each keeps its own ID counter and free list, and all of them share
+// one sequence table. The caller must serve every source from a single
+// allocator at a time: the table's rows for different sources can then
+// be advanced concurrently.
+func NewAllocators(ports, n int) []*Allocator {
+	seq := newFlowTable(ports)
+	allocs := make([]*Allocator, n)
+	for i := range allocs {
+		allocs[i] = &Allocator{seq: &seq}
+	}
+	return allocs
 }
 
 // New creates a cell for the given flow, stamping ID, Seq and Created.
@@ -223,9 +232,10 @@ type OrderChecker struct {
 	delivered  uint64
 }
 
-// NewOrderChecker returns an empty checker.
-func NewOrderChecker() *OrderChecker {
-	return &OrderChecker{}
+// NewOrderChecker returns an empty checker for a run over ports host
+// ports.
+func NewOrderChecker(ports int) *OrderChecker {
+	return &OrderChecker{last: newFlowTable(ports)}
 }
 
 // Deliver records a delivery; it returns false if the cell arrived out

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAllocatorIDsAndSeqs(t *testing.T) {
-	a := NewAllocator()
+	a := NewAllocator(6)
 	c1 := a.New(0, 5, Data, 0)
 	c2 := a.New(0, 5, Data, 10)
 	c3 := a.New(0, 5, Control, 20)
@@ -39,8 +39,8 @@ func TestCellLatency(t *testing.T) {
 }
 
 func TestOrderCheckerInOrder(t *testing.T) {
-	a := NewAllocator()
-	o := NewOrderChecker()
+	a := NewAllocator(6)
+	o := NewOrderChecker(6)
 	for i := 0; i < 100; i++ {
 		if !o.Deliver(a.New(1, 2, Data, 0)) {
 			t.Fatalf("in-order delivery %d flagged", i)
@@ -52,7 +52,7 @@ func TestOrderCheckerInOrder(t *testing.T) {
 }
 
 func TestOrderCheckerCatchesSwap(t *testing.T) {
-	o := NewOrderChecker()
+	o := NewOrderChecker(6)
 	c0 := &Cell{Src: 1, Dst: 2, Seq: 0}
 	c1 := &Cell{Src: 1, Dst: 2, Seq: 1}
 	o.Deliver(c1)
@@ -65,7 +65,7 @@ func TestOrderCheckerCatchesSwap(t *testing.T) {
 }
 
 func TestOrderCheckerFlowsIndependent(t *testing.T) {
-	o := NewOrderChecker()
+	o := NewOrderChecker(6)
 	// Interleaved flows, each in order.
 	for i := 0; i < 10; i++ {
 		if !o.Deliver(&Cell{Src: 1, Dst: 2, Seq: uint64(i)}) {
@@ -84,7 +84,7 @@ func TestOrderCheckerFlowsIndependent(t *testing.T) {
 }
 
 func TestOrderCheckerGapTolerated(t *testing.T) {
-	o := NewOrderChecker()
+	o := NewOrderChecker(6)
 	o.Deliver(&Cell{Src: 1, Dst: 2, Seq: 0})
 	if !o.Deliver(&Cell{Src: 1, Dst: 2, Seq: 5}) {
 		t.Error("forward gap should not be a violation")
@@ -96,7 +96,7 @@ func TestOrderCheckerGapTolerated(t *testing.T) {
 
 func TestOrderCheckerMonotoneProperty(t *testing.T) {
 	f := func(seqsRaw []uint8) bool {
-		o := NewOrderChecker()
+		o := NewOrderChecker(6)
 		high := int64(-1)
 		for _, s := range seqsRaw {
 			c := &Cell{Src: 3, Dst: 4, Seq: uint64(s)}

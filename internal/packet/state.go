@@ -20,11 +20,10 @@ func SaveCell(e *ckpt.Encoder, c *Cell) {
 		e.Fail(fmt.Errorf("packet: cell %d carries %d payload bytes; payload cells are not checkpointable", c.ID, len(c.Payload)))
 		return
 	}
-	e.Put("cell",
-		ckpt.Uint(c.ID), ckpt.Int(int64(c.Src)), ckpt.Int(int64(c.Dst)),
-		ckpt.Uint(uint64(c.Class)), ckpt.Uint(c.Seq),
-		ckpt.Int(int64(c.Created)), ckpt.Int(int64(c.Injected)), ckpt.Int(int64(c.Delivered)),
-		ckpt.Int(int64(c.Hops)), ckpt.Int(int64(c.Retransmits)))
+	e.Line("cell").Uint(c.ID).Int(int64(c.Src)).Int(int64(c.Dst)).
+		Uint(uint64(c.Class)).Uint(c.Seq).
+		Int(int64(c.Created)).Int(int64(c.Injected)).Int(int64(c.Delivered)).
+		Int(int64(c.Hops)).Int(int64(c.Retransmits)).Done()
 }
 
 // LoadCell reads one "cell" record written by SaveCell into a fresh cell.
@@ -54,8 +53,7 @@ func LoadCell(d *ckpt.Decoder) (*Cell, error) {
 // lastSeq+1 in memory but lastSeq on disk).
 func saveFlows(e *ckpt.Encoder, name string, t *flowTable, sub uint64) {
 	t.each(func(src, dst int, class Class, v uint64) {
-		e.Put(name, ckpt.Int(int64(src)), ckpt.Int(int64(dst)),
-			ckpt.Uint(uint64(class)), ckpt.Uint(v-sub))
+		e.Line(name).Int(int64(src)).Int(int64(dst)).Uint(uint64(class)).Uint(v - sub).Done()
 	})
 }
 
@@ -72,95 +70,49 @@ func readFlow(d *ckpt.Decoder, name string, t *flowTable) (p *uint64, v uint64, 
 	if class > Control {
 		return nil, 0, fmt.Errorf("packet: %s flow class %d out of range", name, class)
 	}
-	// The dense table allocates per-source rows sized to the largest
-	// destination, so bound both indices before trusting them.
-	if src < 0 || dst < 0 || src >= 1<<24 || dst >= 1<<24 {
-		return nil, 0, fmt.Errorf("packet: %s flow %d->%d outside supported port range", name, src, dst)
+	// A row is allocated at full width on first touch, so bound both
+	// indices by the table's port count before trusting them.
+	if ports := t.width / 2; src < 0 || dst < 0 || src >= ports || dst >= ports {
+		return nil, 0, fmt.Errorf("packet: %s flow %d->%d outside the %d host ports", name, src, dst, ports)
 	}
 	return t.slot(src, dst, class), v, nil
 }
 
-// SaveState serializes the allocator's identity state: the ID counter
-// and every flow's next sequence number. The free list is deliberately
-// not serialized — recycling affects only which memory backs a cell,
-// never its identity, so a restored allocator that heap-allocates
-// produces the same run.
-func (a *Allocator) SaveState(e *ckpt.Encoder) {
-	e.Put("alloc", ckpt.Uint(a.nextID), ckpt.Uint(a.seq.count()))
-	saveFlows(e, "flow", &a.seq, 0)
-}
-
-// LoadState restores the allocator's identity state, replacing the
-// current counters.
-func (a *Allocator) LoadState(d *ckpt.Decoder) error {
-	r := d.Record("alloc")
-	nextID, n := r.Uint(), r.Uint()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	var seq flowTable
-	for i := uint64(0); i < n; i++ {
-		p, v, err := readFlow(d, "flow", &seq)
-		if err != nil {
-			return err
-		}
-		if *p != 0 {
-			return fmt.Errorf("packet: alloc flow record %d duplicated", i)
-		}
-		if v == 0 {
-			return fmt.Errorf("packet: alloc flow record %d has zero sequence count", i)
-		}
-		*p = v
-	}
-	a.nextID = nextID
-	a.seq = seq
-	a.free = a.free[:0]
-	return nil
-}
-
-// SaveMergedState serializes the combined identity state of several
-// allocators as one logical allocator. The fabric engine issues cells
-// from the coordinator's allocator (serial drive) or from per-shard
-// allocators (parallel drive); each flow is only ever ADVANCED by one of
-// them, so taking each flow's maximum counter yields a
-// partition-independent snapshot: the same traffic produces the same
-// merged flow state at any shard count. Maximum (not sum) also makes the
-// merge idempotent across restore cycles — LoadMergedState hands every
-// allocator the full map, and the copies that are never advanced again
-// stay frozen at the checkpointed value, strictly below the live owner's.
-func SaveMergedState(e *ckpt.Encoder, allocs ...*Allocator) {
+// SaveAllocators serializes the identity state of the allocators one
+// NewAllocators call built — the fabric engine's coordinator and shard
+// allocators — as one logical allocator: the largest ID counter among
+// them and every flow's next sequence number from their shared table.
+// Each flow's row is advanced only by the allocator serving its source,
+// so the same traffic leaves the same table at any shard count. The
+// free lists are deliberately not serialized — recycling affects only
+// which memory backs a cell, never its identity, so a restored
+// allocator that heap-allocates produces the same run.
+func SaveAllocators(e *ckpt.Encoder, allocs []*Allocator) {
 	var nextID uint64
-	var merged flowTable
 	for _, a := range allocs {
-		if a.nextID > nextID {
-			nextID = a.nextID
-		}
-		a.seq.each(func(src, dst int, class Class, v uint64) {
-			if p := merged.slot(src, dst, class); v > *p {
-				*p = v
-			}
-		})
+		nextID = max(nextID, a.nextID)
 	}
-	e.Put("alloc", ckpt.Uint(nextID), ckpt.Uint(merged.count()))
-	saveFlows(e, "flow", &merged, 0)
+	e.Line("alloc").Uint(nextID).Uint(allocs[0].seq.count()).Done()
+	saveFlows(e, "flow", allocs[0].seq, 0)
 }
 
-// LoadMergedState restores a SaveMergedState snapshot into every target
-// allocator: each receives the full flow map (whichever allocator serves
-// a flow after restore continues its sequence exactly) and an ID counter
-// at the merged maximum, so each allocator's freshly issued IDs never
-// collide with IDs it handed to cells still in flight. IDs themselves
-// are diagnostic — per-flow sequence numbers, which the order checker
-// consumes, are the identity that must continue bit-exactly.
-func LoadMergedState(d *ckpt.Decoder, allocs ...*Allocator) error {
+// LoadAllocators restores a SaveAllocators snapshot, replacing the
+// state of the allocators one NewAllocators call built. The flows are
+// decoded straight into their shared table, and every allocator gets
+// the saved ID counter, so its freshly issued IDs never collide with
+// IDs handed to cells still in flight. IDs themselves are diagnostic —
+// per-flow sequence numbers, which the order checker consumes, are the
+// identity that must continue bit-exactly.
+func LoadAllocators(d *ckpt.Decoder, allocs []*Allocator) error {
 	r := d.Record("alloc")
 	nextID, n := r.Uint(), r.Uint()
 	if err := r.Done(); err != nil {
 		return err
 	}
-	var merged flowTable
+	seq := allocs[0].seq
+	*seq = newFlowTable(seq.width / 2)
 	for i := uint64(0); i < n; i++ {
-		p, v, err := readFlow(d, "flow", &merged)
+		p, v, err := readFlow(d, "flow", seq)
 		if err != nil {
 			return err
 		}
@@ -174,7 +126,6 @@ func LoadMergedState(d *ckpt.Decoder, allocs ...*Allocator) error {
 	}
 	for _, a := range allocs {
 		a.nextID = nextID
-		a.seq = merged.clone()
 		a.free = a.free[:0]
 	}
 	return nil
@@ -185,18 +136,19 @@ func LoadMergedState(d *ckpt.Decoder, allocs ...*Allocator) error {
 // number (the in-memory lastSeq+1 encoding is undone), so the byte
 // format is independent of the checker's internal representation.
 func (o *OrderChecker) SaveState(e *ckpt.Encoder) {
-	e.Put("order", ckpt.Uint(o.delivered), ckpt.Uint(o.violations), ckpt.Uint(o.last.count()))
+	e.Line("order").Uint(o.delivered).Uint(o.violations).Uint(o.last.count()).Done()
 	saveFlows(e, "oflow", &o.last, 1)
 }
 
-// LoadState restores the order checker, replacing current state.
+// LoadState restores the order checker, replacing current state. The
+// checker must have been built for the saved run's port count.
 func (o *OrderChecker) LoadState(d *ckpt.Decoder) error {
 	r := d.Record("order")
 	delivered, violations, n := r.Uint(), r.Uint(), r.Uint()
 	if err := r.Done(); err != nil {
 		return err
 	}
-	var last flowTable
+	last := newFlowTable(o.last.width / 2)
 	for i := uint64(0); i < n; i++ {
 		p, v, err := readFlow(d, "oflow", &last)
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 // one would, regardless of its free list (which is deliberately not
 // serialized).
 func TestAllocatorCheckpointIdentityContinues(t *testing.T) {
-	orig := NewAllocator()
+	orig := NewAllocators(5, 1)[0]
 	var retired []*Cell
 	for i := 0; i < 50; i++ {
 		c := orig.New(i%4, (i+1)%4, Class(i%2), units.Time(i))
@@ -28,16 +28,16 @@ func TestAllocatorCheckpointIdentityContinues(t *testing.T) {
 
 	var buf strings.Builder
 	e := ckpt.NewEncoder(&buf)
-	orig.SaveState(e)
+	SaveAllocators(e, []*Allocator{orig})
 	if err := e.Close(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	twin := NewAllocator()
+	twin := NewAllocators(5, 1)[0]
 	d, err := ckpt.NewDecoder(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.LoadState(d); err != nil {
+	if err := LoadAllocators(d, []*Allocator{twin}); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if err := d.Close(); err != nil {
@@ -56,8 +56,8 @@ func TestAllocatorCheckpointIdentityContinues(t *testing.T) {
 }
 
 func TestOrderCheckerCheckpointRoundTrip(t *testing.T) {
-	alloc := NewAllocator()
-	orig := NewOrderChecker()
+	alloc := NewAllocator(3)
+	orig := NewOrderChecker(3)
 	var cells []*Cell
 	for i := 0; i < 60; i++ {
 		cells = append(cells, alloc.New(i%3, (i+1)%3, Class(i%2), units.Time(i)))
@@ -80,7 +80,7 @@ func TestOrderCheckerCheckpointRoundTrip(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	twin := NewOrderChecker()
+	twin := NewOrderChecker(3)
 	d, err := ckpt.NewDecoder(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func TestBvNUnloadedLatency(t *testing.T) {
 			count++
 		}
 		rng := sim.NewRNG(1)
-		alloc := packet.NewAllocator()
+		alloc := packet.NewAllocator(n)
 		arrivals := make([]*packet.Cell, n)
 		for slot := 0; slot < 6000; slot++ {
 			for i := range arrivals {
@@ -50,9 +50,9 @@ func TestBvNUnloadedLatency(t *testing.T) {
 func TestBvNReordersFlows(t *testing.T) {
 	const n = 16
 	b := NewBvN(n)
-	order := packet.NewOrderChecker()
+	order := packet.NewOrderChecker(n)
 	b.Sink = func(c *packet.Cell, _ uint64) { order.Deliver(c) }
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(n)
 	arrivals := make([]*packet.Cell, n)
 	// One continuous flow 0 -> 5 at full rate.
 	for slot := 0; slot < 4000; slot++ {
@@ -75,7 +75,7 @@ func TestBvNThroughput(t *testing.T) {
 	delivered := 0
 	b.Sink = func(*packet.Cell, uint64) { delivered++ }
 	rng := sim.NewRNG(2)
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(n)
 	arrivals := make([]*packet.Cell, n)
 	const slots = 4000
 	for slot := 0; slot < slots; slot++ {
@@ -102,7 +102,7 @@ func TestBvNConservation(t *testing.T) {
 	b := NewBvN(n)
 	delivered := 0
 	b.Sink = func(*packet.Cell, uint64) { delivered++ }
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(n)
 	arrivals := make([]*packet.Cell, n)
 	injected := 0
 	rng := sim.NewRNG(3)

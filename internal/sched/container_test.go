@@ -19,7 +19,7 @@ func containerRun(t *testing.T, n, b int, load float64, slots int) float64 {
 		count++
 	}
 	rng := sim.NewRNG(1)
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(n)
 	arrivals := make([]*packet.Cell, n)
 	for s := 0; s < slots; s++ {
 		for i := range arrivals {
@@ -62,7 +62,7 @@ func TestContainerDeliversEverything(t *testing.T) {
 	delivered := 0
 	cs.Sink = func(*packet.Cell, uint64) { delivered++ }
 	rng := sim.NewRNG(2)
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(n)
 	arrivals := make([]*packet.Cell, n)
 	injected := 0
 	for s := 0; s < 2000; s++ {
@@ -95,9 +95,9 @@ func TestContainerDeliversEverything(t *testing.T) {
 func TestContainerKeepsOrderWithinFlow(t *testing.T) {
 	const n, b = 8, 4
 	cs := NewContainerSwitch(n, b)
-	order := packet.NewOrderChecker()
+	order := packet.NewOrderChecker(n)
 	cs.Sink = func(c *packet.Cell, _ uint64) { order.Deliver(c) }
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(n)
 	arrivals := make([]*packet.Cell, n)
 	for s := 0; s < 4000; s++ {
 		for i := range arrivals {
@@ -120,7 +120,7 @@ func TestContainerThroughputUnderSaturation(t *testing.T) {
 	delivered := 0
 	cs.Sink = func(*packet.Cell, uint64) { delivered++ }
 	rng := sim.NewRNG(3)
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(n)
 	arrivals := make([]*packet.Cell, n)
 	const slots = 40000
 	for s := 0; s < slots; s++ {

@@ -9,7 +9,7 @@ import (
 
 func driveDeflect(d *Deflect, load float64, slots int, seed uint64) (offered uint64) {
 	rng := sim.NewRNG(seed)
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(d.N())
 	arrivals := make([]*packet.Cell, d.N())
 	for s := 0; s < slots; s++ {
 		for i := range arrivals {
@@ -71,9 +71,9 @@ func TestDeflectThroughputLimited(t *testing.T) {
 // siblings — out-of-order delivery, disqualifying per Table 1.
 func TestDeflectReordersFlows(t *testing.T) {
 	d := NewDeflect(8, 6, 1<<20)
-	order := packet.NewOrderChecker()
+	order := packet.NewOrderChecker(8)
 	d.Sink = func(c *packet.Cell, _ uint64) { order.Deliver(c) }
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(8)
 	arrivals := make([]*packet.Cell, 8)
 	// Two inputs both blast output 3: constant contention.
 	for s := 0; s < 4000; s++ {

@@ -25,11 +25,11 @@ type StateCodec interface {
 
 // saveIntRow writes an []int as one record.
 func saveIntRow(e *ckpt.Encoder, key string, row []int) {
-	fields := make([]string, len(row))
-	for i, v := range row {
-		fields[i] = ckpt.Int(int64(v))
+	l := e.Line(key)
+	for _, v := range row {
+		l = l.Int(int64(v))
 	}
-	e.Put(key, fields...)
+	l.Done()
 }
 
 // loadIntRow reads a record of exactly len(dst) integer fields into dst.
@@ -72,13 +72,13 @@ func validatePtrRow(key string, row []int, n int) error {
 // the ring of in-flight partial matchings.
 func (f *FLPPR) SaveState(e *ckpt.Encoder) {
 	e.Begin("sched-flppr")
-	e.Put("flppr", ckpt.Int(int64(f.n)), ckpt.Int(int64(f.k)), ckpt.Int(int64(f.head)))
+	e.Line("flppr").Int(int64(f.n)).Int(int64(f.k)).Int(int64(f.head)).Done()
 	for s := 0; s < f.k; s++ {
 		saveIntRow(e, "gptr", f.grantPtr[s])
 		saveIntRow(e, "aptr", f.acceptPtr[s])
 	}
 	for j := range f.pend {
-		e.Put("pend", ckpt.Int(int64(f.pend[j].sub)))
+		e.Line("pend").Int(int64(f.pend[j].sub)).Done()
 		saveIntRow(e, "m", f.pend[j].m.Out)
 	}
 	e.End("sched-flppr")
@@ -135,7 +135,7 @@ func (f *FLPPR) LoadState(d *ckpt.Decoder) error {
 // SaveState implements StateCodec: the two round-robin pointer rows.
 func (s *ISLIP) SaveState(e *ckpt.Encoder) {
 	e.Begin("sched-islip")
-	e.Put("islip", ckpt.Int(int64(s.n)), ckpt.Int(int64(s.iters)))
+	e.Line("islip").Int(int64(s.n)).Int(int64(s.iters)).Done()
 	saveIntRow(e, "gptr", s.grantPtr)
 	saveIntRow(e, "aptr", s.acceptPtr)
 	e.End("sched-islip")
@@ -174,8 +174,8 @@ func (s *ISLIP) LoadState(d *ckpt.Decoder) error {
 func (p *PIM) SaveState(e *ckpt.Encoder) {
 	e.Begin("sched-pim")
 	st := p.rng.State()
-	e.Put("pim", ckpt.Int(int64(p.n)), ckpt.Int(int64(p.iters)),
-		ckpt.Uint(st[0]), ckpt.Uint(st[1]), ckpt.Uint(st[2]), ckpt.Uint(st[3]))
+	e.Line("pim").Int(int64(p.n)).Int(int64(p.iters)).
+		Uint(st[0]).Uint(st[1]).Uint(st[2]).Uint(st[3]).Done()
 	e.End("sched-pim")
 }
 
@@ -204,7 +204,7 @@ func (p *PIM) LoadState(d *ckpt.Decoder) error {
 // the record carries only the shape for validation.
 func (l *LQF) SaveState(e *ckpt.Encoder) {
 	e.Begin("sched-lqf")
-	e.Put("lqf", ckpt.Int(int64(l.n)))
+	e.Line("lqf").Int(int64(l.n)).Done()
 	e.End("sched-lqf")
 }
 
@@ -228,7 +228,7 @@ func (l *LQF) LoadState(d *ckpt.Decoder) error {
 // line and its ring cursor.
 func (s *PipelinedISLIP) SaveState(e *ckpt.Encoder) {
 	e.Begin("sched-pislip")
-	e.Put("pislip", ckpt.Int(int64(s.n)), ckpt.Int(int64(s.depth)), ckpt.Uint(s.pos))
+	e.Line("pislip").Int(int64(s.n)).Int(int64(s.depth)).Uint(s.pos).Done()
 	saveIntRow(e, "gptr", s.grantPtr)
 	saveIntRow(e, "aptr", s.acceptPtr)
 	for i := range s.delay {

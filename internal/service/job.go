@@ -169,8 +169,8 @@ const (
 // the session payload.
 func encodeJobHeader(e *ckpt.Encoder, id, phase string, specJSON []byte) {
 	e.Begin("osmosisd-job")
-	e.Put("job", ckpt.Quote(id), ckpt.Quote(phase))
-	e.Put("spec", ckpt.Quote(string(specJSON)))
+	e.Line("job").Str(id).Str(phase).Done()
+	e.Line("spec").Str(string(specJSON)).Done()
 }
 
 // encodeQueuedCheckpoint snapshots a job that has not started: spec

@@ -13,8 +13,7 @@ import (
 
 // SaveState serializes the running moments.
 func (r *Running) SaveState(e *ckpt.Encoder) {
-	e.Put("running", ckpt.Uint(r.n), ckpt.Float(r.mean), ckpt.Float(r.m2),
-		ckpt.Float(r.min), ckpt.Float(r.max))
+	e.Line("running").Uint(r.n).Float(r.mean).Float(r.m2).Float(r.min).Float(r.max).Done()
 }
 
 // LoadState restores moments saved by SaveState, replacing r.
@@ -32,6 +31,10 @@ func (r *Running) LoadState(d *ckpt.Decoder) error {
 // checkpoints compact without a per-sample line.
 const samplesPerLine = 8
 
+// maxPresized caps the sample capacity LoadState reserves before the
+// records that fill it have been read.
+const maxPresized = 1 << 16
+
 // SaveState serializes the collector: moments plus every sample in
 // insertion order.
 func (s *LatencySample) SaveState(e *ckpt.Encoder) {
@@ -39,17 +42,17 @@ func (s *LatencySample) SaveState(e *ckpt.Encoder) {
 	defer s.mu.Unlock()
 	e.Begin("latency")
 	s.run.SaveState(e)
-	e.Put("samples", ckpt.Int(int64(len(s.samples))))
+	e.Line("samples").Int(int64(len(s.samples))).Done()
 	for i := 0; i < len(s.samples); i += samplesPerLine {
 		end := i + samplesPerLine
 		if end > len(s.samples) {
 			end = len(s.samples)
 		}
-		fields := make([]string, 0, samplesPerLine)
+		l := e.Line("s")
 		for _, v := range s.samples[i:end] {
-			fields = append(fields, ckpt.Int(int64(v)))
+			l = l.Int(int64(v))
 		}
-		e.Put("s", fields...)
+		l.Done()
 	}
 	e.End("latency")
 }
@@ -71,15 +74,21 @@ func (s *LatencySample) LoadState(d *ckpt.Decoder) error {
 	if n < 0 {
 		return fmt.Errorf("stats: checkpoint sample count %d", n)
 	}
-	samples := make([]units.Time, 0, n)
+	// The count comes from the file, so reserve at most a modest batch
+	// up front and grow as records arrive: a forged count then fails on
+	// the first missing record instead of in one huge allocation.
+	samples := make([]units.Time, 0, min(n, maxPresized))
 	for len(samples) < n {
 		rec := d.Record("s")
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("stats: checkpoint samples (count %d): record after %d: %w", n, len(samples), err)
+		}
 		want := n - len(samples)
 		if want > samplesPerLine {
 			want = samplesPerLine
 		}
 		if rec.Len() != want {
-			return fmt.Errorf("stats: checkpoint sample batch holds %d values, want %d", rec.Len(), want)
+			return fmt.Errorf("stats: checkpoint samples (count %d): batch after %d holds %d values, want %d", n, len(samples), rec.Len(), want)
 		}
 		for i := 0; i < want; i++ {
 			samples = append(samples, units.Time(rec.Int()))

@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"fmt"
+	"hash/fnv"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -92,4 +95,51 @@ func TestRunningCheckpointRoundTrip(t *testing.T) {
 	if twin != orig {
 		t.Fatalf("running moments diverged: %+v vs %+v", twin, orig)
 	}
+}
+
+// TestLatencySampleRejectsForgedCount: a snapshot whose sample count
+// claims 2^32 samples but holds three fails on the first missing batch,
+// naming the field, without first reserving room for the claimed count
+// (32 GiB, a fatal out-of-memory). The checksum is re-sealed, so the
+// forged count is what the codec sees.
+func TestLatencySampleRejectsForgedCount(t *testing.T) {
+	orig := &LatencySample{}
+	for _, v := range []units.Time{5, 9, 2} {
+		orig.Add(v)
+	}
+	var buf strings.Builder
+	e := ckpt.NewEncoder(&buf)
+	orig.SaveState(e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	forged := strings.Replace(buf.String(), "\nsamples 3\n", "\nsamples 4294967296\n", 1)
+	if forged == buf.String() {
+		t.Fatal("test setup: no samples record to forge")
+	}
+	forged = reseal(forged)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := ckpt.NewDecoder(strings.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = (&LatencySample{}).LoadState(d)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "samples") {
+		t.Fatalf("forged sample count: error %v, want one naming the samples field", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Errorf("forged sample count allocated %d bytes before failing", grew)
+	}
+}
+
+// reseal replaces the checksum trailer of an edited checkpoint with the
+// FNV-1a hash of everything before it.
+func reseal(text string) string {
+	body := text[:strings.LastIndex(strings.TrimSuffix(text, "\n"), "\n")+1]
+	h := fnv.New64a()
+	h.Write([]byte(body))
+	return body + fmt.Sprintf("checksum %016x\n", h.Sum64())
 }

@@ -27,7 +27,7 @@ type StateCodec interface {
 // saveRNG writes one RNG stream as an "rng" record.
 func saveRNG(e *ckpt.Encoder, r *sim.RNG) {
 	st := r.State()
-	e.Put("rng", ckpt.Uint(st[0]), ckpt.Uint(st[1]), ckpt.Uint(st[2]), ckpt.Uint(st[3]))
+	e.Line("rng").Uint(st[0]).Uint(st[1]).Uint(st[2]).Uint(st[3]).Done()
 }
 
 // loadRNG restores one RNG stream from an "rng" record.
@@ -63,7 +63,7 @@ func (b *Bernoulli) LoadState(d *ckpt.Decoder) error {
 func (o *OnOff) SaveState(e *ckpt.Encoder) {
 	e.Begin("gen-onoff")
 	saveRNG(e, o.RNG)
-	e.Put("burst", ckpt.Bool(o.on), ckpt.Int(int64(o.remaining)), ckpt.Int(int64(o.burstDst)))
+	e.Line("burst").Bool(o.on).Int(int64(o.remaining)).Int(int64(o.burstDst)).Done()
 	e.End("gen-onoff")
 }
 
@@ -94,10 +94,10 @@ func (b *Bimodal) SaveState(e *ckpt.Encoder) {
 		return
 	}
 	data.SaveState(e)
-	e.Put("pending", ckpt.Int(int64(b.Pending())))
+	e.Line("pending").Int(int64(b.Pending())).Done()
 	for i := b.head; i < len(b.pending); i++ {
 		a := b.pending[i]
-		e.Put("arr", ckpt.Int(int64(a.Dst)), ckpt.Uint(uint64(a.Class)))
+		e.Line("arr").Int(int64(a.Dst)).Uint(uint64(a.Class)).Done()
 	}
 	e.End("gen-bimodal")
 }
@@ -145,7 +145,7 @@ func (b *Bimodal) LoadState(d *ckpt.Decoder) error {
 func (m *MMPP) SaveState(e *ckpt.Encoder) {
 	e.Begin("gen-mmpp")
 	saveRNG(e, m.RNG)
-	e.Put("dwell", ckpt.Bool(m.high), ckpt.Int(int64(m.remaining)))
+	e.Line("dwell").Bool(m.high).Int(int64(m.remaining)).Done()
 	e.End("gen-mmpp")
 }
 
@@ -170,7 +170,7 @@ func (m *MMPP) LoadState(d *ckpt.Decoder) error {
 func (p *ParetoOnOff) SaveState(e *ckpt.Encoder) {
 	e.Begin("gen-pareto")
 	saveRNG(e, p.RNG)
-	e.Put("burst", ckpt.Bool(p.on), ckpt.Int(int64(p.remaining)), ckpt.Int(int64(p.burstDst)))
+	e.Line("burst").Bool(p.on).Int(int64(p.remaining)).Int(int64(p.burstDst)).Done()
 	e.End("gen-pareto")
 }
 
@@ -262,7 +262,7 @@ func (g *TreeAllReduce) LoadState(d *ckpt.Decoder) error {
 // SaveState implements StateCodec: the replay cursor.
 func (p *TracePlayer) SaveState(e *ckpt.Encoder) {
 	e.Begin("gen-trace")
-	e.Put("cursor", ckpt.Int(int64(p.pos)), ckpt.Int(int64(len(p.events))))
+	e.Line("cursor").Int(int64(p.pos)).Int(int64(len(p.events))).Done()
 	e.End("gen-trace")
 }
 

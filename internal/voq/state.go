@@ -15,10 +15,10 @@ import (
 // every queued cell in FIFO order. Only non-empty entries are written.
 func (v *VOQSet) SaveState(e *ckpt.Encoder) {
 	e.Begin("voqs")
-	e.Put("voqset", ckpt.Int(int64(v.n)))
+	e.Line("voqset").Int(int64(v.n)).Done()
 	for out := 0; out < v.n; out++ {
 		if c := v.committed[out]; c != 0 {
-			e.Put("comm", ckpt.Int(int64(out)), ckpt.Int(int64(c)))
+			e.Line("comm").Int(int64(out)).Int(int64(c)).Done()
 		}
 	}
 	for class := 0; class < 2; class++ {
@@ -27,7 +27,7 @@ func (v *VOQSet) SaveState(e *ckpt.Encoder) {
 			if q.Len() == 0 {
 				continue
 			}
-			e.Put("q", ckpt.Int(int64(class)), ckpt.Int(int64(out)), ckpt.Int(int64(q.Len())))
+			e.Line("q").Int(int64(class)).Int(int64(out)).Int(int64(q.Len())).Done()
 			for i := q.head; i < len(q.cells); i++ {
 				packet.SaveCell(e, q.cells[i])
 			}
@@ -104,7 +104,7 @@ func (v *VOQSet) LoadState(d *ckpt.Decoder) error {
 // cells in drain order.
 func (e *Egress) SaveState(enc *ckpt.Encoder) {
 	enc.Begin("egress")
-	enc.Put("eg", ckpt.Uint(e.received), ckpt.Uint(e.drained), ckpt.Int(int64(e.q.Len())))
+	enc.Line("eg").Uint(e.received).Uint(e.drained).Int(int64(e.q.Len())).Done()
 	for i := e.q.head; i < len(e.q.cells); i++ {
 		packet.SaveCell(enc, e.q.cells[i])
 	}

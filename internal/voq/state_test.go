@@ -32,7 +32,7 @@ func roundTripVOQ(t *testing.T, v *VOQSet) *VOQSet {
 }
 
 func TestVOQSetCheckpointRoundTrip(t *testing.T) {
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(4)
 	v := NewVOQSet(4)
 	// Mixed population: both classes, several outputs, a few pops so
 	// FIFO heads are nonzero, plus commitments.
@@ -78,7 +78,7 @@ func TestVOQSetCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestEgressCheckpointRoundTrip(t *testing.T) {
-	alloc := packet.NewAllocator()
+	alloc := packet.NewAllocator(4)
 	eg := NewEgress(2, 0)
 	for i := 0; i < 7; i++ {
 		eg.Receive(alloc.New(1, 2, packet.Data, units.Time(i)))
