@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race lint bench verify daemon-smoke
+.PHONY: build vet test race lint bench verify golden daemon-smoke
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,13 @@ lint:
 BENCHTIME ?=
 bench:
 	$(GO) test -run '^$$' -bench . $(if $(BENCHTIME),-benchtime $(BENCHTIME)) -benchmem ./internal/sched/ ./internal/crossbar/ ./internal/fabric/ ./internal/analysis/
+
+# Golden oracle: the full experiment suite must reproduce the checked-in
+# experiments_full.txt byte for byte (every finding, figure and table).
+# Takes ~20 s on 2 cores; regenerate the file only for an intended change
+# of results, and say why in the change.
+golden:
+	$(GO) run ./cmd/experiments -par 2 | cmp - experiments_full.txt
 
 # End-to-end osmosisd acceptance: uninterrupted reference run, then a
 # checkpoint/kill/restore run of the same two concurrent jobs; the final

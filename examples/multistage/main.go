@@ -36,9 +36,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	topo := f.Topology()
+	net := f.Network()
+	perLevel := map[int]int{}
+	for _, id := range net.NodeIDs() {
+		perLevel[id.Level]++
+	}
 	fmt.Printf("fat tree: %d hosts, %d-port switches, %d leaves + %d spines, %d stages\n",
-		hosts, radix, topo.Leaves(), topo.Spines(), topo.Stages())
+		hosts, radix, perLevel[0], perLevel[1], net.StageCount())
 	fmt.Printf("flow control: loop RTT %d cycles -> input buffers %d cells\n\n",
 		loopRTT, cfg.InputCapacity)
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/voq"
 )
 
 // Config describes one single-stage switch experiment.
@@ -177,17 +178,17 @@ type Switch struct {
 	cfg    Config
 	format packet.Format
 
-	voqs   []*voqSet
+	voqs   []*voq.VOQSet
 	egress []*egressQ
 	alloc  *packet.Allocator
 	order  *packet.OrderChecker
 
-	// words is ceil(N/64); rowBits[in*words..] and colBits[out*words..]
-	// hold the positive-demand bitsets the board serves to BitBoard-aware
-	// schedulers, maintained incrementally by demandSync on every
-	// demand-changing transition (push, pop, commit, uncommit).
+	// words is ceil(N/64); colBits[out*words..] holds the positive-demand
+	// column bitsets the board serves to BitBoard-aware schedulers,
+	// re-synced by demandSync from the VOQ's own occupancy bit on every
+	// demand-changing transition (push, pop, commit, uncommit). The row
+	// bitsets are the VOQ sets' UncommittedBits.
 	words   int
-	rowBits []uint64
 	colBits []uint64
 
 	// match is the reusable per-slot matching scratch the scheduler's
@@ -255,83 +256,10 @@ func (e Epoch) Throughput(n int) float64 {
 	return float64(e.Delivered) / float64(slots) / float64(n)
 }
 
-// voqSet and egressQ are thin local wrappers so the crossbar package
-// controls commit bookkeeping; they mirror internal/voq types but track
-// the injection slot on the cell for grant-latency measurement.
-type voqSet struct {
-	n         int
-	queues    [2][]fifo // [class][out]
-	committed []int
-	depth     int
-}
-
-type fifo struct {
-	cells []*packet.Cell
-	head  int
-}
-
-func (f *fifo) len() int { return len(f.cells) - f.head }
-
-func (f *fifo) push(c *packet.Cell) {
-	//lint:ignore hotpath append into the retained queue slice; pop-side compaction keeps it cap-stable at steady-state occupancy
-	f.cells = append(f.cells, c)
-}
-
-func (f *fifo) pop() *packet.Cell {
-	if f.len() == 0 {
-		return nil
-	}
-	c := f.cells[f.head]
-	f.cells[f.head] = nil
-	f.head++
-	if f.head > 64 && f.head*2 >= len(f.cells) {
-		n := copy(f.cells, f.cells[f.head:])
-		f.cells = f.cells[:n]
-		f.head = 0
-	}
-	return c
-}
-
-func newVOQSet(n int) *voqSet {
-	v := &voqSet{n: n, committed: make([]int, n)}
-	v.queues[0] = make([]fifo, n)
-	v.queues[1] = make([]fifo, n)
-	return v
-}
-
-func (v *voqSet) push(c *packet.Cell, out int) {
-	cls := 0
-	if c.Class == packet.Control {
-		cls = 1
-	}
-	v.queues[cls][out].push(c)
-	v.depth++
-}
-
-func (v *voqSet) backlog(out int) int {
-	return v.queues[0][out].len() + v.queues[1][out].len()
-}
-
-func (v *voqSet) pop(out int) *packet.Cell {
-	var c *packet.Cell
-	if v.queues[1][out].len() > 0 {
-		c = v.queues[1][out].pop()
-	} else {
-		c = v.queues[0][out].pop()
-	}
-	if c != nil {
-		v.depth--
-		if v.committed[out] > 0 {
-			v.committed[out]--
-		}
-	}
-	return c
-}
-
+// egressQ is one output adapter's queue; capacity 0 means unbounded.
 type egressQ struct {
-	receivers int
-	capacity  int
-	q         fifo
+	capacity int
+	q        voq.FIFO
 }
 
 // board adapts the switch's VOQ state to the scheduler interface.
@@ -344,33 +272,23 @@ func (b board) Receivers() int { return b.s.cfg.Receivers }
 // arbiter never over-grants a fault-degraded output.
 func (b board) ReceiversAt(out int) int { return b.s.upCount[out] }
 
-func (b board) Demand(in, out int) int {
-	v := b.s.voqs[in]
-	d := v.backlog(out) - v.committed[out]
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+func (b board) Demand(in, out int) int { return b.s.voqs[in].Uncommitted(out) }
 
 func (b board) Commit(in, out int) {
-	b.s.voqs[in].committed[out]++
+	b.s.voqs[in].Commit(out)
 	b.s.demandSync(in, out)
 }
 
 func (b board) Uncommit(in, out int) {
-	v := b.s.voqs[in]
-	if v.committed[out] > 0 {
-		v.committed[out]--
-	}
+	b.s.voqs[in].Uncommit(out)
 	b.s.demandSync(in, out)
 }
 
-// DemandRowBits implements sched.BitBoard from the incrementally
-// maintained row bitset — one word copy per 64 outputs instead of 64
-// Demand calls.
+// DemandRowBits implements sched.BitBoard from the VOQ set's maintained
+// occupancy row — one word copy per 64 outputs instead of 64 Demand
+// calls.
 func (b board) DemandRowBits(in int, row []uint64) {
-	copy(row, b.s.rowBits[in*b.s.words:(in+1)*b.s.words])
+	copy(row, b.s.voqs[in].UncommittedBits())
 }
 
 // DemandColBits implements sched.BitBoard.
@@ -378,19 +296,15 @@ func (b board) DemandColBits(out int, col []uint64) {
 	copy(col, b.s.colBits[out*b.s.words:(out+1)*b.s.words])
 }
 
-// demandSync re-derives the (in, out) demand bit after any transition
-// that can change whether Demand(in, out) is positive.
+// demandSync copies the VOQ's (in, out) occupancy bit into the column
+// bitset after any transition that can change whether Demand(in, out)
+// is positive.
 func (s *Switch) demandSync(in, out int) {
-	v := s.voqs[in]
-	mask := uint64(1) << (uint(out) & 63)
 	cmask := uint64(1) << (uint(in) & 63)
-	ri := in*s.words + out>>6
 	ci := out*s.words + in>>6
-	if v.backlog(out)-v.committed[out] > 0 {
-		s.rowBits[ri] |= mask
+	if s.voqs[in].UncommittedAt(out) {
 		s.colBits[ci] |= cmask
 	} else {
-		s.rowBits[ri] &^= mask
 		s.colBits[ci] &^= cmask
 	}
 }
@@ -414,11 +328,11 @@ func New(cfg Config) (*Switch, error) {
 		return nil, fmt.Errorf("crossbar: negative control RTT %d", cfg.ControlRTTCycles)
 	}
 	s := &Switch{cfg: cfg, format: cfg.Format}
-	s.voqs = make([]*voqSet, cfg.N)
+	s.voqs = make([]*voq.VOQSet, cfg.N)
 	s.egress = make([]*egressQ, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		s.voqs[i] = newVOQSet(cfg.N)
-		s.egress[i] = &egressQ{receivers: cfg.Receivers, capacity: cfg.EgressCapacity}
+		s.voqs[i] = voq.NewVOQSet(cfg.N)
+		s.egress[i] = &egressQ{capacity: cfg.EgressCapacity}
 	}
 	s.alloc = packet.NewAllocator(cfg.N)
 	s.order = packet.NewOrderChecker(cfg.N)
@@ -426,7 +340,6 @@ func New(cfg Config) (*Switch, error) {
 	s.metrics.SrcOffered = make([]uint64, cfg.N)
 	s.metrics.SrcDelivered = make([]uint64, cfg.N)
 	s.words = (cfg.N + 63) / 64
-	s.rowBits = make([]uint64, cfg.N*s.words)
 	s.colBits = make([]uint64, cfg.N*s.words)
 	s.match = sched.NewMatching(cfg.N)
 	s.grantDelay = make([]sched.Matching, cfg.ControlRTTCycles)
@@ -592,7 +505,7 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 			s.receive(c, c.Dst)
 			continue
 		}
-		s.voqs[in].push(c, c.Dst)
+		s.voqs[in].Push(c, c.Dst)
 		s.demandSync(in, c.Dst)
 	}
 	// 2. Arbitrate and (after the control RTT) execute the matching.
@@ -646,7 +559,7 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 				}
 				continue
 			}
-			c := s.voqs[in].pop(out)
+			c := s.voqs[in].Pop(out)
 			s.demandSync(in, out)
 			if c == nil {
 				// A matching edge found no cell (possible only with a
@@ -670,10 +583,10 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 	}
 	// 3. Egress lines each transmit one cell.
 	for _, e := range s.egress {
-		if e.q.len() == 0 {
+		if e.q.Len() == 0 {
 			continue
 		}
-		c := e.q.pop()
+		c := e.q.Pop()
 		c.Delivered = now + s.metrics.CycleTime // line-out completes end of slot
 		if !s.order.Deliver(c) && s.measuring {
 			s.metrics.OrderViolations++
@@ -693,13 +606,13 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 	}
 	// 4. Depth tracking.
 	for _, v := range s.voqs {
-		if v.depth > s.metrics.MaxVOQDepth {
-			s.metrics.MaxVOQDepth = v.depth
+		if v.Depth() > s.metrics.MaxVOQDepth {
+			s.metrics.MaxVOQDepth = v.Depth()
 		}
 	}
 	for _, e := range s.egress {
-		if e.q.len() > s.metrics.MaxEgressDepth {
-			s.metrics.MaxEgressDepth = e.q.len()
+		if e.q.Len() > s.metrics.MaxEgressDepth {
+			s.metrics.MaxEgressDepth = e.q.Len()
 		}
 	}
 	s.slot++
@@ -726,7 +639,7 @@ func (s *Switch) pickReceiver(out, used int) int {
 // receive delivers a cell across the crossbar into an egress queue.
 func (s *Switch) receive(c *packet.Cell, out int) {
 	e := s.egress[out]
-	if e.capacity > 0 && e.q.len() >= e.capacity {
+	if e.capacity > 0 && e.q.Len() >= e.capacity {
 		if s.measuring {
 			s.metrics.Dropped++
 			s.epoch.dropped++
@@ -735,18 +648,18 @@ func (s *Switch) receive(c *packet.Cell, out int) {
 		return
 	}
 	c.Hops++
-	e.q.push(c)
+	e.q.Push(c)
 }
 
 // Drained reports whether all queues are empty.
 func (s *Switch) Drained() bool {
 	for _, v := range s.voqs {
-		if v.depth > 0 {
+		if v.Depth() > 0 {
 			return false
 		}
 	}
 	for _, e := range s.egress {
-		if e.q.len() > 0 {
+		if e.q.Len() > 0 {
 			return false
 		}
 	}

@@ -3,20 +3,28 @@ package fabric
 import "fmt"
 
 // XGFT is a generalized folded fat tree of uniform radix-k switches with
-// L levels — the topology family behind the §VI.C stage-count study
-// (2 levels = 3 stages for OSMOSIS-64, 3 levels = 5 stages for 32-port
-// electronic switches, 5 levels = 9 stages for 8-port commodity parts).
+// L levels — the one wiring the engine runs, from the single switch up
+// to the deep trees of the §VI.C stage-count study (2 levels = 3 stages
+// for OSMOSIS-64, 3 levels = 5 stages for 32-port electronic switches,
+// 5 levels = 9 stages for 8-port commodity parts).
 //
 // Structure, with arity a = k/2 and 0-based levels:
 //
-//   - capacity C = k * a^(L-1) hosts;
-//   - every non-top level has 2*a^(L-1)/1 ... precisely 2*a^(L-1)/a^0
-//     switches? No — every non-top level has C/a = 2*a^(L-1) switches,
-//     each with a down-ports and a up-ports;
-//   - the top level (L-1) has C/k = a^(L-1) switches with k down-ports;
-//   - a level-l switch with pod index p and within-pod index s is
-//     addressed Index = p*a^l + s; its down subtree is exactly the
-//     level-(l+1) pod p (a^(l+1) hosts).
+//   - capacity C = k * a^(L-1) hosts, attached in order;
+//   - a non-top level-l switch has a down-ports and a up-ports. Its
+//     Index = p*a^l + s names pod p and within-pod index s, and its down
+//     subtree is the level-(l+1) pod p: hosts [p*a^(l+1), (p+1)*a^(l+1));
+//   - a full non-top level has C/a = 2*a^(L-1) switches;
+//   - the top level (L-1) has a^(L-1) switches with k down-ports each.
+//
+// Trimming: a partly populated tree keeps only the pods that hold a host.
+// A non-top level l has ceil(Hosts/a^(l+1)) populated pods and so
+// ceil(Hosts/a^(l+1)) * a^l switches; the top level stays whole, since
+// each top switch reaches every pod. A down-port whose child pod is
+// unpopulated is Unused: top-level port p >= ceil(Hosts/a^(L-1)), or
+// mid-level port c with child pod p*a+c >= ceil(Hosts/a^l); so is a leaf
+// port past the last host. Pods fill in order, so every kept switch's
+// parent pod is kept and every up-port is wired.
 //
 // Wiring (symmetric by construction, verified by tests):
 //
@@ -75,9 +83,6 @@ func (x XGFT) pow(e int) int {
 	return v
 }
 
-// Capacity reports the maximum host count.
-func (x XGFT) Capacity() int { return capacityXGFT(x.Levels, x.Radix) }
-
 // SwitchRadix implements Net.
 func (x XGFT) SwitchRadix() int { return x.Radix }
 
@@ -87,18 +92,22 @@ func (x XGFT) HostCount() int { return x.Hosts }
 // StageCount implements Net.
 func (x XGFT) StageCount() int { return 2*x.Levels - 1 }
 
-// switchesAt reports the switch count of one level.
-func (x XGFT) switchesAt(level int) int {
-	if x.Levels == 1 {
-		return 1
-	}
-	if level == x.Levels-1 {
-		return x.Capacity() / x.Radix
-	}
-	return x.Capacity() / x.arity()
+// pods reports how many pods of level-l switches hold at least one host.
+func (x XGFT) pods(level int) int {
+	b := x.pow(level + 1)
+	return (x.Hosts + b - 1) / b
 }
 
-// NodeIDs implements Net.
+// switchesAt reports the switch count of one level after trimming.
+func (x XGFT) switchesAt(level int) int {
+	if level == x.Levels-1 {
+		return x.pow(level)
+	}
+	return x.pods(level) * x.pow(level)
+}
+
+// NodeIDs implements Net: levels bottom-up, so the leaves lead in host
+// order.
 func (x XGFT) NodeIDs() []NodeID {
 	var ids []NodeID
 	for l := 0; l < x.Levels; l++ {
@@ -145,9 +154,14 @@ func (x XGFT) PortMap(n NodeID) ([]PortInfo, error) {
 
 	top := x.Levels - 1
 	if n.Level == top {
-		// k down-ports, one per level-(L-1) pod.
+		// k down-ports, one per level-(L-2) pod.
 		block := x.pow(top - 1) // within-pod size of level L-2
+		live := x.pods(top - 1)
 		for p := 0; p < k; p++ {
+			if p >= live {
+				ports[p] = PortInfo{Kind: Unused}
+				continue
+			}
 			child := p*block + n.Index%block
 			u := n.Index / block
 			ports[p] = PortInfo{
@@ -175,8 +189,13 @@ func (x XGFT) PortMap(n NodeID) ([]PortInfo, error) {
 		// Down-port c reaches the level-(l-1) switch with the same
 		// within-sub-pod index in child pod pod*a + c.
 		childBlock := x.pow(n.Level - 1)
+		live := x.pods(n.Level - 1)
 		for c := 0; c < a; c++ {
 			childPod := pod*a + c
+			if childPod >= live {
+				ports[c] = PortInfo{Kind: Unused}
+				continue
+			}
 			childIdx := childPod*childBlock + s%childBlock
 			u := s / childBlock
 			ports[c] = PortInfo{
@@ -226,23 +245,20 @@ func (x XGFT) Route(n NodeID, src, dst int) (int, error) {
 	if dst < 0 || dst >= x.Hosts {
 		return -1, fmt.Errorf("fabric: destination %d out of range", dst)
 	}
-	if x.Levels == 1 {
-		return dst, nil
+	if n.Level < 0 || n.Level >= x.Levels {
+		return -1, fmt.Errorf("fabric: invalid node %v in %d-level XGFT", n, x.Levels)
 	}
+	// Each down-port of a level-l switch leads to a block of a^l hosts;
+	// sub numbers the destination's block.
 	a := x.arity()
-	top := x.Levels - 1
-	if n.Level == top {
-		// Down-port = the destination's level-(L-1) pod.
-		return dst / x.pow(top), nil
+	block := x.pow(n.Level)
+	sub := dst / block
+	if n.Level == x.Levels-1 {
+		return sub, nil
 	}
-	pod, _ := x.split(n.Level, n.Index)
-	dstPod := dst / x.pow(n.Level+1)
-	if dstPod == pod {
-		if n.Level == 0 {
-			return dst % a, nil
-		}
-		// Sub-pod of dst within this pod.
-		return (dst / x.pow(n.Level)) % a, nil
+	if n.Index/block == sub/a {
+		// The destination is in this switch's pod: down to its block.
+		return sub % a, nil
 	}
 	// Go up; deterministic per flow for order preservation.
 	return a + int(flowHash(src, dst, n.Level)%uint64(a)), nil
